@@ -21,6 +21,7 @@ import numpy as np
 from . import dataio
 from .controller import (
     ScenarioConfig,
+    compare_totals,
     compute_metrics,
     run_rolling_horizon,
     run_uncontrolled_baseline,
@@ -281,21 +282,10 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    totals_c = dataio.read_trajectory_totals(args.controlled)
-    totals_u = dataio.read_trajectory_totals(args.baseline)
-    if totals_c.shape != totals_u.shape:
-        raise ValueError("controlled and baseline trajectories must cover the same window")
-    peak_c, peak_u = float(totals_c.max()), float(totals_u.max())
-    avg_c = float(totals_c[1:].mean()) if len(totals_c) > 1 else 0.0
-    avg_u = float(totals_u[1:].mean()) if len(totals_u) > 1 else 0.0
-    payload = {
-        "peak_uncontrolled": peak_u,
-        "peak_controlled": peak_c,
-        "avg_uncontrolled": avg_u,
-        "avg_controlled": avg_c,
-        "peak_reduction_pct": None if peak_u == 0.0 else 100.0 * (peak_u - peak_c) / peak_u,
-        "avg_reduction_pct": None if avg_u == 0.0 else 100.0 * (avg_u - avg_c) / avg_u,
-    }
+    payload = compare_totals(
+        dataio.read_trajectory_totals(args.controlled),
+        dataio.read_trajectory_totals(args.baseline),
+    )
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -321,7 +311,7 @@ def _scenario_from_document(path: Path) -> tuple[ScenarioConfig, object, dict]:
         if cases_path is not None:
             # cases in synthetic scenarios reference integer indices directly
             resolver = {str(i): i for i in range(net.m)}
-            infected, removed = dataio._load_cases(cases_path, resolver, net.populations)
+            infected, removed = dataio.load_cases(cases_path, resolver, net.populations)
     else:
         files = dataio.NetworkFiles(
             _resolve_path("edges"), _resolve_path("population"), _resolve_path("cases")

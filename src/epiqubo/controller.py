@@ -20,8 +20,8 @@ from .epinet import (
     LocationNetwork,
     ModelKind,
     Trajectory,
+    check_state,
     invariance_bound,
-    simulate,
     step_sis,
     step_sir,
 )
@@ -35,6 +35,7 @@ __all__ = [
     "run_rolling_horizon",
     "run_uncontrolled_baseline",
     "compute_metrics",
+    "compare_totals",
 ]
 
 logger = logging.getLogger(__name__)
@@ -167,93 +168,88 @@ def _advance(
     return EpidemicState(x, y)
 
 
-def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLog:
-    """Closed-loop run: recompile, minimize, apply one step, repeat."""
+def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
+    """Apply ``plan(t, state)`` and advance, ``cfg.steps`` times, recording states."""
     _check_rate(cfg)
     net = cfg.network
+    check_state(state0, net, cfg.kind)
     params = cfg.params
-    m = net.m
-    controls = np.zeros((cfg.steps, m), dtype=np.int8)
+    controls = np.zeros((cfg.steps, net.m), dtype=np.int8)
+    xs = np.empty((cfg.steps + 1, net.m))
+    ys = None if state0.removed is None else np.empty_like(xs)
+    xs[0] = state0.infected
+    if ys is not None:
+        ys[0] = state0.removed
+    state = state0
+    for t in range(cfg.steps):
+        u = plan(t, state)
+        state = _advance(state, u, net, params, cfg.force, t)
+        controls[t] = u
+        xs[t + 1] = state.infected
+        if ys is not None:
+            ys[t + 1] = state.removed
+    return Trajectory(xs, controls, ys)
+
+
+def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLog:
+    """Closed-loop run: recompile, minimize, apply one step, repeat."""
     objectives = np.zeros(cfg.steps)
     wall_times = np.zeros(cfg.steps)
     evaluations = np.zeros(cfg.steps, dtype=np.int64)
-    xs = np.empty((cfg.steps + 1, m))
-    ys = np.empty((cfg.steps + 1, m)) if cfg.kind is ModelKind.SIR else None
-    xs[0] = state0.infected
-    if ys is not None:
-        if state0.removed is None:
-            raise ValueError("SIR scenario requires a removed compartment in the state")
-        ys[0] = state0.removed
 
-    state = state0
-    for t in range(cfg.steps):
-        q = build_qubo(net, params, state, cfg.gamma, cfg.builder)
+    def plan(t: int, state: EpidemicState) -> np.ndarray:
+        q = build_qubo(cfg.network, cfg.params, state, cfg.gamma, cfg.builder)
         step_cfg = replace(cfg.solver_config, seed=cfg.seed + t)
         try:
             result = solve(q, cfg.solver, step_cfg)
         except Exception as exc:
             raise RuntimeError(f"solver failed at step {t}: {exc}") from exc
-        u = to_control(result.z_best)
-        state = _advance(state, u, net, params, cfg.force, t)
-        controls[t] = u
         objectives[t] = result.objective
         wall_times[t] = result.wall_time
         evaluations[t] = result.evaluations
-        xs[t + 1] = state.infected
-        if ys is not None:
-            ys[t + 1] = state.removed
-    traj = Trajectory(xs, controls, ys)
+        return to_control(result.z_best)
+
+    traj = _run_loop(cfg, state0, plan)
     return ControlLog(traj, objectives, wall_times, evaluations)
 
 
 def run_uncontrolled_baseline(cfg: ScenarioConfig, state0: EpidemicState) -> Trajectory:
     """Free-running dynamics over the same window, no isolation anywhere."""
-    _check_rate(cfg)
-    if not cfg.force:
-        return simulate(cfg.network, cfg.params, state0, None, cfg.steps)
-    net = cfg.network
-    params = cfg.params
-    zeros = np.zeros(net.m, dtype=np.int8)
-    xs = np.empty((cfg.steps + 1, net.m))
-    ys = np.empty_like(xs) if cfg.kind is ModelKind.SIR else None
-    xs[0] = state0.infected
-    if ys is not None:
-        ys[0] = state0.removed
-    state = state0
-    for t in range(cfg.steps):
-        state = _advance(state, zeros, net, params, True, t)
-        xs[t + 1] = state.infected
-        if ys is not None:
-            ys[t + 1] = state.removed
-    return Trajectory(xs, np.zeros((cfg.steps, net.m), dtype=np.int8), ys)
+    open_all = np.zeros(cfg.network.m, dtype=np.int8)
+    return _run_loop(cfg, state0, lambda t, state: open_all)
+
+
+def compare_totals(totals_c: np.ndarray, totals_u: np.ndarray) -> dict:
+    """Peak and per-step-average infected totals, with percent reductions.
+
+    The peak is taken over the whole curve; the average excludes the shared
+    initial row and is 0.0 when there is no other row.  A zero baseline
+    peak (or average) makes the corresponding reduction None.
+    """
+    if totals_c.shape != totals_u.shape:
+        raise ValueError("controlled and baseline runs must cover the same window")
+    peak_c = float(totals_c.max())
+    peak_u = float(totals_u.max())
+    avg_c = float(totals_c[1:].mean()) if len(totals_c) > 1 else 0.0
+    avg_u = float(totals_u[1:].mean()) if len(totals_u) > 1 else 0.0
+    return {
+        "peak_uncontrolled": peak_u,
+        "peak_controlled": peak_c,
+        "avg_uncontrolled": avg_u,
+        "avg_controlled": avg_c,
+        "peak_reduction_pct": None if peak_u == 0.0 else 100.0 * (peak_u - peak_c) / peak_u,
+        "avg_reduction_pct": None if avg_u == 0.0 else 100.0 * (avg_u - avg_c) / avg_u,
+    }
 
 
 def compute_metrics(controlled: ControlLog, baseline: Trajectory) -> MetricsReport:
-    """Peak and per-step-average infected, with percent reductions.
-
-    The peak is taken over the whole recorded curve; the average excludes
-    the shared initial state.  A zero baseline peak (or average) makes the
-    corresponding reduction undefined, reported as None.
-    """
+    """``compare_totals`` of the two runs plus per-location peaks and solver time."""
     traj = controlled.trajectory
     if traj.num_steps != baseline.num_steps or traj.m != baseline.m:
         raise ValueError("controlled and baseline runs must cover the same window")
-    totals_c = traj.totals()
-    totals_u = baseline.totals()
-    peak_c = float(totals_c.max())
-    peak_u = float(totals_u.max())
-    avg_c = float(totals_c[1:].mean())
-    avg_u = float(totals_u[1:].mean())
-    peak_pct = None if peak_u == 0.0 else 100.0 * (peak_u - peak_c) / peak_u
-    avg_pct = None if avg_u == 0.0 else 100.0 * (avg_u - avg_c) / avg_u
     wall = controlled.wall_times
     return MetricsReport(
-        peak_uncontrolled=peak_u,
-        peak_controlled=peak_c,
-        avg_uncontrolled=avg_u,
-        avg_controlled=avg_c,
-        peak_reduction_pct=peak_pct,
-        avg_reduction_pct=avg_pct,
+        **compare_totals(traj.totals(), baseline.totals()),
         per_location_peak_uncontrolled=baseline.infected.max(axis=0),
         per_location_peak_controlled=traj.infected.max(axis=0),
         solver_time={

@@ -30,6 +30,7 @@ from .solvers import SOLVER_NAMES, SolverConfig
 __all__ = [
     "NetworkFiles",
     "load_network",
+    "load_cases",
     "initial_state",
     "generate_synthetic",
     "write_network_csvs",
@@ -129,7 +130,9 @@ def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarra
     return weights
 
 
-def _load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarray):
+def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarray):
+    """Read a cases CSV into ``(infected, removed)`` arrays indexed through
+    ``resolver``; ``removed`` is None when the file has no removed column."""
     rows, header = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
     has_removed = "removed" in header
     m = len(populations)
@@ -171,7 +174,7 @@ def load_network(files: NetworkFiles):
     net = LocationNetwork(populations, weights)
     if files.cases is None:
         return net, names, np.zeros(net.m), None
-    infected, removed = _load_cases(files.cases, resolver, populations)
+    infected, removed = load_cases(files.cases, resolver, populations)
     return net, names, infected, removed
 
 

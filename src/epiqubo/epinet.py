@@ -9,6 +9,10 @@ from the local infection force, while within-location contagion continues.
 All state is real-valued (large-population continuum approximation) and all
 rates are per time step; the step duration itself is scenario metadata that
 never enters the equations.
+
+The SIS and SIR updates are written once, in the array kernel
+``step_arrays``; ``step_sis`` and ``step_sir`` validate one state and call
+it, and the batched cost used by the QUBO builders iterates it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ __all__ = [
     "cost",
     "infection_rate_from_r0",
     "spectral_growth_factor",
-    "as_control",
+    "as_bits",
+    "check_state",
 ]
 
 SPECTRAL_TOL = 1e-12
@@ -187,13 +192,14 @@ class Trajectory:
         return self.infected.sum(axis=1)
 
 
-def as_control(u, m: int) -> np.ndarray:
-    """Coerce a control vector to a validated length-``m`` binary int8 array."""
-    arr = np.asarray(u)
+def as_bits(v, m: int) -> np.ndarray:
+    """Coerce a control or decision vector to a validated length-``m`` binary
+    int8 array."""
+    arr = np.asarray(v)
     if arr.shape != (m,):
-        raise ValueError(f"control vector must have length {m}, got shape {arr.shape}")
+        raise ValueError(f"bit vector must have length {m}, got shape {arr.shape}")
     if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("control entries must be 0 or 1")
+        raise ValueError("bit entries must be 0 or 1")
     return arr.astype(np.int8)
 
 
@@ -232,27 +238,60 @@ def invariance_bound(net: LocationNetwork) -> float:
     return float(1.0 / (1.0 + inflow.max()))
 
 
+def check_state(state: EpidemicState, net: LocationNetwork, kind: ModelKind) -> None:
+    """Refuse a start state that does not fit the model or lies outside [0, n_i]."""
+    _check_fit(state, net, ModelKind(kind))
+    if np.any(state.infected > net.populations):
+        raise ValueError("infected counts exceed local populations")
+    if state.removed is not None and np.any(
+        state.infected + state.removed > net.populations
+    ):
+        raise ValueError("infected plus removed exceed local populations")
+
+
+def _check_fit(state: EpidemicState, net: LocationNetwork, kind: ModelKind | None) -> None:
+    if state.m != net.m:
+        raise ValueError(f"state has {state.m} locations, network has {net.m}")
+    if kind is ModelKind.SIS and state.removed is not None:
+        raise ValueError("SIS state must not carry a removed compartment")
+    if kind is ModelKind.SIR and state.removed is None:
+        raise ValueError("SIR state requires a removed compartment")
+
+
+def _control_bits(u, m: int) -> np.ndarray:
+    return np.zeros(m, dtype=np.int8) if u is None else as_bits(u, m)
+
+
+def _force(x: np.ndarray, u: np.ndarray, net: LocationNetwork) -> np.ndarray:
+    return x + (1 - u) * (x @ net.weights.T)
+
+
 def infection_force(
     state: EpidemicState, net: LocationNetwork, u=None
 ) -> np.ndarray:
     """Effective infectious pressure per location.
 
-    ``alpha_i = x_i + (1 - u_i) * sum_j A_ij x_j``; with ``u=None`` the
-    uncontrolled expression ``x_i + sum_j A_ij x_j`` is evaluated directly.
+    ``alpha_i = x_i + (1 - u_i) * sum_j A_ij x_j``; ``u=None`` means no
+    location is isolated.
     """
-    x = state.infected
-    if x.shape[0] != net.m:
-        raise ValueError(f"state has {x.shape[0]} locations, network has {net.m}")
-    inflow = net.weights @ x
-    if u is None:
-        return x + inflow
-    uu = as_control(u, net.m)
-    return x + (1 - uu) * inflow
+    _check_fit(state, net, None)
+    return _force(state.infected, _control_bits(u, net.m), net)
 
 
-def _require_kind(params: EpidemicParams, kind: ModelKind) -> None:
+def _step(
+    state: EpidemicState,
+    net: LocationNetwork,
+    params: EpidemicParams,
+    u,
+    kind: ModelKind,
+) -> EpidemicState:
     if params.kind is not kind:
         raise ValueError(f"expected {kind.value} parameters, got {params.kind.value}")
+    _check_fit(state, net, kind)
+    x_next, y_next = step_arrays(
+        state.infected, state.removed, _control_bits(u, net.m), net, params
+    )
+    return EpidemicState(x_next, y_next)
 
 
 def step_sis(
@@ -262,14 +301,7 @@ def step_sis(
     u=None,
 ) -> EpidemicState:
     """One SIS update: recovery back to susceptible plus new contagions."""
-    _require_kind(params, ModelKind.SIS)
-    if state.removed is not None:
-        raise ValueError("SIS state must not carry a removed compartment")
-    alpha = infection_force(state, net, u)
-    x = state.infected
-    n = net.populations
-    x_next = (1.0 - params.mu) * x + (params.lam / n) * (n - x) * alpha
-    return EpidemicState(x_next)
+    return _step(state, net, params, u, ModelKind.SIS)
 
 
 def step_sir(
@@ -279,16 +311,7 @@ def step_sir(
     u=None,
 ) -> EpidemicState:
     """One SIR update: recovered individuals move to the removed pool."""
-    _require_kind(params, ModelKind.SIR)
-    if state.removed is None:
-        raise ValueError("SIR state requires a removed compartment")
-    alpha = infection_force(state, net, u)
-    x = state.infected
-    y = state.removed
-    n = net.populations
-    x_next = (1.0 - params.mu) * x + (params.lam / n) * (n - x - y) * alpha
-    y_next = y + params.mu * x
-    return EpidemicState(x_next, y_next)
+    return _step(state, net, params, u, ModelKind.SIR)
 
 
 def _normalize_schedule(controls, steps: int, m: int) -> np.ndarray:
@@ -296,19 +319,10 @@ def _normalize_schedule(controls, steps: int, m: int) -> np.ndarray:
         return np.zeros((steps, m), dtype=np.int8)
     arr = np.asarray(controls)
     if arr.ndim == 1:
-        return np.tile(as_control(arr, m), (steps, 1))
+        return np.tile(as_bits(arr, m), (steps, 1))
     if arr.shape[0] != steps:
         raise ValueError(f"schedule has {arr.shape[0]} controls for {steps} steps")
-    return np.stack([as_control(arr[t], m) for t in range(steps)])
-
-
-def _check_in_domain(state: EpidemicState, net: LocationNetwork) -> None:
-    if np.any(state.infected > net.populations):
-        raise ValueError("infected counts exceed local populations")
-    if state.removed is not None and np.any(
-        state.infected + state.removed > net.populations
-    ):
-        raise ValueError("infected plus removed exceed local populations")
+    return np.stack([as_bits(arr[t], m) for t in range(steps)])
 
 
 def simulate(
@@ -326,22 +340,16 @@ def simulate(
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    _check_in_domain(state0, net)
+    check_state(state0, net, params.kind)
     schedule = _normalize_schedule(controls, steps, net.m)
-    sis = params.kind is ModelKind.SIS
-    if sis and state0.removed is not None:
-        raise ValueError("SIS state must not carry a removed compartment")
-    if not sis and state0.removed is None:
-        raise ValueError("SIR state requires a removed compartment")
+    step = step_sis if params.kind is ModelKind.SIS else step_sir
     xs = np.empty((steps + 1, net.m))
     xs[0] = state0.infected
-    ys = None
-    if not sis:
-        ys = np.empty_like(xs)
+    ys = None if state0.removed is None else np.empty_like(xs)
+    if ys is not None:
         ys[0] = state0.removed
     state = state0
     for t in range(steps):
-        step = step_sis if sis else step_sir
         state = step(state, net, params, schedule[t])
         xs[t + 1] = state.infected
         if ys is not None:
@@ -360,7 +368,7 @@ def cost(traj: Trajectory, u, gamma: float, net: LocationNetwork) -> float:
         raise ValueError("gamma must be nonnegative")
     if traj.infected.shape[0] < traj.num_steps + 1:
         raise ValueError("trajectory is missing states")
-    uu = as_control(u, net.m)
+    uu = as_bits(u, net.m)
     infections = float(traj.infected[1:].sum())
     return infections + gamma * float(np.dot(net.populations, uu))
 
@@ -375,18 +383,21 @@ def step_arrays(
     net: LocationNetwork,
     params: EpidemicParams,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized single step over a batch of states.
+    """The SIS (``y`` None) or SIR update, for one state or a batch of them.
 
     ``x`` (and ``y`` for SIR) may be (M,) or (B, M); ``u`` must broadcast
-    against them.  Returns the next (x, y) pair without validation.
+    against them.  Returns the next (x, y) pair without validation.  A
+    single state must be passed 1-D: the rows of a (1, M) batch can differ
+    from it in the last bits.
     """
     n = net.populations
-    alpha = x + (1 - u) * (x @ net.weights.T)
-    if y is None:
-        x_next = (1.0 - params.mu) * x + (params.lam / n) * (n - x) * alpha
-        return x_next, None
-    x_next = (1.0 - params.mu) * x + (params.lam / n) * (n - x - y) * alpha
-    return x_next, y + params.mu * x
+    # alpha first and no named temporaries: batches from the numeric builder
+    # hold several (B, M) arrays at once, and each live one costs B * M floats
+    alpha = _force(x, u, net)
+    x_next = (1.0 - params.mu) * x + (params.lam / n) * (
+        n - x if y is None else n - x - y
+    ) * alpha
+    return x_next, None if y is None else y + params.mu * x
 
 
 def batch_infection_cost(
@@ -460,6 +471,6 @@ def spectral_growth_factor(net: LocationNetwork, u) -> float:
     Linearized growth diagnostic for a frozen control; not used by the
     controller.
     """
-    uu = as_control(u, net.m)
+    uu = as_bits(u, net.m)
     scaled = (1 - uu)[:, None] * net.weights
     return _rho_of_unit_shifted(scaled)

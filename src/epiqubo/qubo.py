@@ -11,12 +11,17 @@ compile the same objective:
 
 Both keep the additive constant, so objective values equal simulated costs
 exactly, not just up to a shared offset.
+
+A problem stores one dense symmetric coupling matrix with a zero diagonal;
+the builders, the text importer and every solver read and write that array.
+The sparse pair view ``{(i, j): value}`` used by the text format is derived
+from it on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .epinet import (
     EpidemicState,
     LocationNetwork,
     ModelKind,
+    as_bits,
     batch_infection_cost,
     cost,
     simulate,
@@ -33,7 +39,6 @@ from .epinet import (
 __all__ = [
     "QuboProblem",
     "QuboParseError",
-    "as_bits",
     "evaluate",
     "to_control",
     "from_control",
@@ -47,35 +52,47 @@ __all__ = [
 
 HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
-BRUTEFORCE_MAX_BITS = 25
-_ENUM_CHUNK_BITS = 16
+ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
+ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
 
 
 class QuboParseError(ValueError):
     """Malformed QUBO text; the message carries the offending line number."""
 
 
-def as_bits(z, m: int) -> np.ndarray:
-    """Coerce to a validated length-``m`` binary int8 vector."""
-    arr = np.asarray(z)
-    if arr.shape != (m,):
-        raise ValueError(f"bit vector must have length {m}, got shape {arr.shape}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bit entries must be 0 or 1")
-    return arr.astype(np.int8)
+def _coupling_from_pairs(pairs: Mapping, m: int) -> np.ndarray:
+    """Dense coupling from ``{(i, j): value}``; (j, i) folds into (i, j)."""
+    upper = np.zeros((m, m))
+    if not pairs:
+        return upper
+    keys = np.array(list(pairs), dtype=np.int64)
+    if keys.shape != (len(pairs), 2):
+        raise ValueError("quadratic keys must be (i, j) index pairs")
+    values = np.array(list(pairs.values()), dtype=np.float64)
+    lo, hi = keys.min(axis=1), keys.max(axis=1)
+    bad = (lo == hi) | (lo < 0) | (hi >= m) | ~np.isfinite(values)
+    if bad.any():
+        i, j = keys[np.argmax(bad)].tolist()
+        raise ValueError(
+            f"pair ({i}, {j}) needs two distinct indices below {m} and a finite coefficient"
+        )
+    np.add.at(upper, (lo, hi), values)
+    return upper + upper.T
 
 
 @dataclass(frozen=True)
 class QuboProblem:
-    """Minimize ``offset + sum_i linear[i] z_i + sum_{i<j} quadratic[i,j] z_i z_j``.
+    """Minimize ``offset + linear @ z + z @ coupling @ z / 2`` over binary z.
 
-    Quadratic keys are canonicalized to strictly upper-triangular pairs;
-    (j, i) contributions are folded into (i, j) on construction and exact
-    zeros are dropped.
+    ``coupling`` is a dense symmetric M x M matrix with a zero diagonal;
+    entry ``[i, j] = [j, i]`` is the coefficient of ``z_i z_j``.  The
+    constructor also takes a pair mapping ``{(i, j): value}`` in its place,
+    folding (j, i) contributions into (i, j).  Signed zeros are stored as
+    +0.0, so equal problems have equal coupling bytes.
     """
 
     linear: np.ndarray
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    coupling: np.ndarray | Mapping | None = None
     offset: float = 0.0
 
     def __post_init__(self) -> None:
@@ -85,34 +102,34 @@ class QuboProblem:
         if not np.all(np.isfinite(lin)) or not np.isfinite(self.offset):
             raise ValueError("QUBO coefficients must be finite")
         m = lin.shape[0]
-        folded: dict[tuple[int, int], float] = {}
-        for (i, j), value in self.quadratic.items():
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-pair ({i}, {j}) is not a quadratic term")
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"pair ({i}, {j}) out of range for {m} variables")
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite coefficient at ({i}, {j})")
-            key = (i, j) if i < j else (j, i)
-            folded[key] = folded.get(key, 0.0) + float(value)
-        folded = {k: v for k, v in folded.items() if v != 0.0}
+        if self.coupling is None:
+            s = np.zeros((m, m))
+        elif isinstance(self.coupling, Mapping):
+            s = _coupling_from_pairs(self.coupling, m)
+        else:
+            s = np.asarray(self.coupling, dtype=np.float64)
+            if s.shape != (m, m):
+                raise ValueError(f"coupling must be {m}x{m}, got shape {s.shape}")
+            if not np.all(np.isfinite(s)):
+                raise ValueError("coupling coefficients must be finite")
+            if np.any(s.diagonal() != 0.0):
+                raise ValueError("coupling diagonal must be zero")
+            if not np.array_equal(s, s.T):
+                raise ValueError("coupling must be symmetric")
         object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", folded)
+        object.__setattr__(self, "coupling", s + 0.0)  # copy; -0.0 becomes +0.0
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
     def m(self) -> int:
         return self.linear.shape[0]
 
-    @cached_property
-    def coupling(self) -> np.ndarray:
-        """Dense symmetric coupling matrix with zero diagonal."""
-        s = np.zeros((self.m, self.m))
-        for (i, j), value in self.quadratic.items():
-            s[i, j] = value
-            s[j, i] = value
-        return s
+    @property
+    def quadratic(self) -> dict[tuple[int, int], float]:
+        """Nonzero pairs ``(i, j): value`` with i < j, in lexicographic order."""
+        rows, cols = np.nonzero(np.triu(self.coupling, 1))
+        values = self.coupling[rows, cols]
+        return dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
 
 
 def evaluate(q: QuboProblem, z) -> float:
@@ -162,30 +179,21 @@ def build_qubo_numeric(
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     m = net.m
-    n_pairs = m * (m - 1) // 2
-    bits = np.zeros((1 + m + n_pairs, m), dtype=np.int8)
-    for i in range(m):
-        bits[1 + i, i] = 1
-    pair_row: dict[tuple[int, int], int] = {}
-    row = 1 + m
-    for i in range(m):
-        for j in range(i + 1, m):
-            bits[row, i] = 1
-            bits[row, j] = 1
-            pair_row[(i, j)] = row
-            row += 1
+    rows, cols = np.triu_indices(m, 1)  # pair k sits in row 1 + m + k
+    pairs = np.arange(rows.shape[0])
+    bits = np.zeros((1 + m + rows.shape[0], m), dtype=np.int8)
+    bits[1 + np.arange(m), np.arange(m)] = 1
+    bits[1 + m + pairs, rows] = 1
+    bits[1 + m + pairs, cols] = 1
     controls = (1 - bits).astype(np.float64)
     g_inf = batch_infection_cost(net, params, state0, controls, HORIZON)
 
     base = g_inf[0]
     linear = g_inf[1 : 1 + m] - base - gamma * net.populations
-    quadratic: dict[tuple[int, int], float] = {}
-    for (i, j), r in pair_row.items():
-        value = g_inf[r] - g_inf[1 + i] - g_inf[1 + j] + base
-        if value != 0.0:
-            quadratic[(i, j)] = float(value)
+    upper = np.zeros((m, m))
+    upper[rows, cols] = g_inf[1 + m :] - g_inf[1 + rows] - g_inf[1 + cols] + base
     offset = float(base + gamma * net.populations.sum())
-    return QuboProblem(linear, quadratic, offset)
+    return QuboProblem(linear, upper + upper.T, offset)
 
 
 def _analytic_coefficients(
@@ -227,19 +235,15 @@ def _analytic_coefficients(
         - gamma * n
     )
     q_mat = lam * h[:, None] * a_mat * c[None, :]
-    quadratic: dict[tuple[int, int], float] = {}
-    for i in range(net.m):
-        for j in range(i + 1, net.m):
-            value = q_mat[i, j] + q_mat[j, i]
-            if value != 0.0:
-                quadratic[(i, j)] = float(value)
+    coupling = q_mat + q_mat.T
+    np.fill_diagonal(coupling, 0.0)  # only pairs i != j couple
 
     # Offset from one simulation at z = 0 (every location isolated), so the
     # objective reproduces simulated costs exactly, not just their argmin.
     all_isolated = np.ones(net.m, dtype=np.int8)
     traj = simulate(net, params, state0, all_isolated, HORIZON)
     offset = cost(traj, all_isolated, gamma, net)
-    return QuboProblem(linear, quadratic, offset)
+    return QuboProblem(linear, coupling, offset)
 
 
 def build_qubo_sis_analytic(
@@ -294,9 +298,9 @@ def build_qubo(
 # -- exhaustive reference over controls --------------------------------------
 
 
-def _bit_rows(count: int, width: int, offset_bits: int = 0) -> np.ndarray:
-    """Rows k = 0..count-1 as big-endian bit vectors of the given width."""
-    ks = np.arange(count, dtype=np.int64) + offset_bits
+def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
+    """Rows k = first..first+count-1 as big-endian bit vectors of the given width."""
+    ks = np.arange(count, dtype=np.int64) + first
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((ks[:, None] >> shifts) & 1).astype(np.int8)
 
@@ -315,12 +319,12 @@ def solve_bruteforce_problem1(
     than 25 locations.
     """
     m = net.m
-    if m > BRUTEFORCE_MAX_BITS:
-        raise ValueError(f"{m} locations exceed the enumeration limit of {BRUTEFORCE_MAX_BITS}")
+    if m > ENUM_MAX_BITS:
+        raise ValueError(f"{m} locations exceed the enumeration limit of {ENUM_MAX_BITS}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     total = 1 << m
-    chunk = 1 << min(m, _ENUM_CHUNK_BITS)
+    chunk = 1 << min(m, ENUM_CHUNK_BITS)
     best_cost = np.inf
     best_u: np.ndarray | None = None
     for start in range(0, total, chunk):
@@ -350,12 +354,8 @@ def export_qubo(q: QuboProblem) -> str:
     shortest round-trip representation.
     """
     lines = [f"# QUBO M={q.m} offset={q.offset!r}"]
-    for i in range(q.m):
-        value = float(q.linear[i])
-        if value != 0.0:
-            lines.append(f"{i} {i} {value!r}")
-    for i, j in sorted(q.quadratic):
-        lines.append(f"{i} {j} {q.quadratic[(i, j)]!r}")
+    lines += [f"{i} {i} {value!r}" for i, value in enumerate(q.linear.tolist()) if value != 0.0]
+    lines += [f"{i} {j} {value!r}" for (i, j), value in q.quadratic.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -381,9 +381,14 @@ def import_qubo(text: str) -> QuboProblem:
         raise QuboParseError(f"line 1: bad header value ({exc})") from exc
     if m < 0:
         raise QuboParseError("line 1: variable count must be nonnegative")
+    try:
+        coupling = np.zeros((m, m))
+    except (MemoryError, ValueError) as exc:
+        raise QuboParseError(
+            f"line 1: M={m} needs a {m}x{m} coupling matrix that cannot be allocated"
+        ) from exc
 
     linear = np.zeros(m)
-    quadratic: dict[tuple[int, int], float] = {}
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -410,5 +415,5 @@ def import_qubo(text: str) -> QuboProblem:
         if i == j:
             linear[i] = value
         else:
-            quadratic[(i, j)] = value
-    return QuboProblem(linear, quadratic, offset)
+            coupling[i, j] = coupling[j, i] = value
+    return QuboProblem(linear, coupling, offset)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboProblem, batch_evaluate, evaluate
+from .qubo import ENUM_CHUNK_BITS, ENUM_MAX_BITS, QuboProblem, _bit_rows, batch_evaluate, evaluate
 
 __all__ = [
     "SolverConfig",
@@ -29,9 +29,6 @@ __all__ = [
     "solve",
     "SOLVER_NAMES",
 ]
-
-EXHAUSTIVE_MAX_BITS = 25
-_BLOCK_BITS = 16
 
 SOLVER_NAMES = ("exhaustive", "sa", "tabu", "ga")
 
@@ -117,12 +114,6 @@ def incremental_delta(q: QuboProblem, z, i: int) -> float:
     return float((1 - 2 * int(zz[i])) * (q.linear[i] + q.coupling[i] @ zz))
 
 
-def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
-    ks = np.arange(count, dtype=np.int64) + first
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((ks[:, None] >> shifts) & 1).astype(np.int8)
-
-
 def solve_exhaustive(q: QuboProblem) -> SolveResult:
     """Scan every assignment; ties break to the lexicographically smallest z.
 
@@ -131,11 +122,11 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
     than 25 variables.
     """
     m = q.m
-    if m > EXHAUSTIVE_MAX_BITS:
-        raise ValueError(f"{m} variables exceed the enumeration limit of {EXHAUSTIVE_MAX_BITS}")
+    if m > ENUM_MAX_BITS:
+        raise ValueError(f"{m} variables exceed the enumeration limit of {ENUM_MAX_BITS}")
     start = time.perf_counter()
     total = 1 << m
-    low_bits = min(m, _BLOCK_BITS)
+    low_bits = min(m, ENUM_CHUNK_BITS)
     high_bits = m - low_bits
     s = q.coupling
     p = q.linear
@@ -402,8 +393,3 @@ def solve(q: QuboProblem, method: str, cfg: SolverConfig | None = None) -> Solve
     if method == "ga":
         return solve_genetic(q, cfg)
     raise ValueError(f"unknown solver {method!r}; expected one of {SOLVER_NAMES}")
-
-
-def with_seed(cfg: SolverConfig, seed: int) -> SolverConfig:
-    """Copy of the config with a different seed."""
-    return replace(cfg, seed=seed)

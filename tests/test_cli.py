@@ -138,6 +138,14 @@ class TestBuildSolvePipeline:
         assert cli_dispatch(["solve", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_unservable_size_exits_one(self, tmp_path, capsys):
+        # a 10^7 x 10^7 coupling matrix cannot be allocated, so it is refused at once
+        big = tmp_path / "big.txt"
+        big.write_text("# QUBO M=10000000 offset=0.0\n", encoding="utf-8")
+        assert cli_dispatch(["solve", str(big), "--solver", "sa"]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "M=10000000" in err
+
     def test_builders_agree_through_files(self, workspace, tmp_path):
         texts = []
         for builder in ("analytic", "numeric"):
@@ -218,6 +226,20 @@ class TestMetricsCommand:
         assert payload["peak_reduction_pct"] == pytest.approx(
             report["metrics"]["peak_reduction_pct"]
         )
+
+    def test_one_row_trajectory_has_zero_average(self, workspace, tmp_path, capsys):
+        traj = tmp_path / "t0.csv"
+        assert cli_dispatch(
+            ["simulate", *network_flags(workspace), "--model", "sis", "--lambda", "0.02",
+             "--mu", "0.05", "--steps", "0", "--out", str(traj)]
+        ) == 0
+        assert cli_dispatch(
+            ["metrics", "--controlled", str(traj), "--baseline", str(traj)]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["avg_controlled"] == payload["avg_uncontrolled"] == 0.0
+        assert payload["avg_reduction_pct"] is None
+        assert payload["peak_reduction_pct"] == 0.0
 
 
 class TestBatch:

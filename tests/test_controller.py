@@ -171,6 +171,15 @@ class TestBaseline:
         assert totals[-1] < totals.max()
         assert totals[-1] < 1.0  # epidemic burns out
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_start_outside_populations_refused(self, force):
+        net = LocationNetwork([100.0, 100.0], [[0.0, 0.5], [0.5, 0.0]])
+        cfg = ScenarioConfig(
+            network=net, kind=ModelKind.SIS, lam=0.1, mu=0.1, gamma=0.0, steps=3, force=force
+        )
+        with pytest.raises(ValueError, match="exceed"):
+            run_uncontrolled_baseline(cfg, EpidemicState([150.0, 0.0]))
+
 
 class TestMetrics:
     def test_identical_runs_give_zero_reductions(self, rng):

@@ -24,6 +24,7 @@ from epiqubo import (
     step_sis,
     validate_network,
 )
+from epiqubo.epinet import step_arrays
 from conftest import random_instance, random_network
 
 
@@ -174,6 +175,23 @@ class TestSteps:
             step_sir(EpidemicState([1.0, 0.0]), two_node, sis, [0, 0])
         with pytest.raises(ValueError):
             step_sir(EpidemicState([1.0, 0.0]), two_node, sir, [0, 0])  # no removed pool
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_wrappers_run_the_array_kernel(self, rng, kind):
+        step = step_sis if kind is ModelKind.SIS else step_sir
+        for m in (1, 4, 11):
+            net, params, state, _ = random_instance(rng, kind, m)
+            u = rng.integers(0, 2, size=m, dtype=np.int8)
+            x, y = step_arrays(state.infected, state.removed, u, net, params)
+            nxt = step(state, net, params, u)
+            assert np.array_equal(nxt.infected, x)
+            assert (nxt.removed is None) == (y is None)
+            if y is not None:
+                assert np.array_equal(nxt.removed, y)
+            # no control means every location open
+            free = step(state, net, params)
+            open_all = step(state, net, params, np.zeros(m, dtype=np.int8))
+            assert np.array_equal(free.infected, open_all.infected)
 
 
 class TestSimulate:

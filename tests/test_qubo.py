@@ -28,6 +28,7 @@ from epiqubo import (
     solve_bruteforce_problem1,
     to_control,
 )
+from epiqubo.epinet import batch_infection_cost
 from conftest import all_bits, random_instance, random_qubo
 
 
@@ -134,6 +135,26 @@ class TestNumericBuilder:
                     want = simulated_two_step_cost(net, params, state, gamma, z)
                     got = evaluate(q, z)
                     assert abs(got - want) <= max(1e-9 * max(abs(got), abs(want)), 1e-12)
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_coupling_equals_the_per_pair_loop_bitwise(self, rng, kind):
+        m = 7
+        net, params, state, gamma = random_instance(rng, kind, m)
+        rows = [np.zeros(m, dtype=np.int8)]
+        for i in range(m):
+            rows.append(np.eye(m, dtype=np.int8)[i])
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for i, j in pairs:
+            row = np.zeros(m, dtype=np.int8)
+            row[[i, j]] = 1
+            rows.append(row)
+        controls = (1 - np.array(rows)).astype(np.float64)
+        g = batch_infection_cost(net, params, state, controls, 2)
+        want = np.zeros((m, m))
+        for k, (i, j) in enumerate(pairs):
+            want[i, j] = want[j, i] = g[1 + m + k] - g[1 + i] - g[1 + j] + g[0]
+        q = build_qubo_numeric(net, params, state, gamma)
+        assert q.coupling.tobytes() == (want + 0.0).tobytes()
 
     def test_identity_sampled_assignments_large_m(self, rng):
         # beyond exhaustive reach the identity is spot-checked on 1000 draws
@@ -340,3 +361,42 @@ class TestTextFormat:
         text = "# QUBO M=2 offset=1.0\n# a comment\n\n0 1 2.0\n"
         q = import_qubo(text)
         assert q.quadratic == {(0, 1): 2.0}
+
+    def test_unallocatable_size_names_line_one(self):
+        with pytest.raises(QuboParseError, match="line 1.*M=10000000"):
+            import_qubo("# QUBO M=10000000 offset=0.0\n")
+
+
+class TestCouplingStorage:
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            [[0.0, 1.0], [2.0, 0.0]],  # asymmetric
+            [[1.0, 3.0], [3.0, 0.0]],  # nonzero diagonal
+            [[0.0, 3.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # wrong shape
+            [0.0, 3.0],  # wrong rank
+            [[0.0, np.inf], [np.inf, 0.0]],
+            [[0.0, np.nan], [np.nan, 0.0]],
+        ],
+    )
+    def test_bad_matrix_rejected(self, coupling):
+        with pytest.raises(ValueError):
+            QuboProblem([0.0, 0.0], np.array(coupling))
+
+    def test_pairs_and_matrix_store_identical_bytes(self):
+        from_pairs = QuboProblem([0.0, 0.0], {(0, 1): 1.0, (1, 0): 2.0})
+        from_matrix = QuboProblem([0.0, 0.0], np.array([[0.0, 3.0], [3.0, 0.0]]))
+        assert from_pairs.coupling.dtype == from_matrix.coupling.dtype == np.float64
+        assert from_pairs.coupling.tobytes() == from_matrix.coupling.tobytes()
+
+    def test_quadratic_is_the_nonzero_upper_triangle_in_export_order(self, rng):
+        q = random_qubo(rng, 9, density=0.4)
+        rows, cols = np.nonzero(np.triu(q.coupling, 1))
+        assert list(q.quadratic) == list(zip(rows.tolist(), cols.tolist()))
+        assert list(q.quadratic.values()) == q.coupling[rows, cols].tolist()
+        exported = [
+            (int(i), int(j), float(v))
+            for i, j, v in (line.split() for line in export_qubo(q).splitlines()[1:])
+            if i != j
+        ]
+        assert exported == [(i, j, v) for (i, j), v in q.quadratic.items()]
