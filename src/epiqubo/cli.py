@@ -20,6 +20,7 @@ import numpy as np
 
 from . import dataio
 from .controller import (
+    BUILDER_NAMES,
     ScenarioConfig,
     compare_totals,
     compute_metrics,
@@ -27,7 +28,7 @@ from .controller import (
     run_uncontrolled_baseline,
 )
 from .epinet import (
-    EpidemicParams,
+    EpidemicState,
     ModelKind,
     PowerIterationError,
     infection_rate_from_r0,
@@ -40,7 +41,7 @@ from .qubo import (
     export_qubo,
     import_qubo,
 )
-from .solvers import SolverConfig, solve
+from .solvers import SOLVER_NAMES, SolverConfig, solve
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -96,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(p)
     _add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--builder", choices=["analytic", "numeric"], default="analytic")
+    p.add_argument("--builder", choices=BUILDER_NAMES, default="analytic")
     p.add_argument("--out", default=None, help="QUBO text file (stdout if omitted)")
     p.set_defaults(func=_cmd_build_qubo)
 
     p = sub.add_parser("solve", help="minimize a QUBO file")
     p.add_argument("qubo_file", help="QUBO text file")
-    p.add_argument("--solver", choices=["exhaustive", "sa", "tabu", "ga"], default="exhaustive")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="max objective evaluations")
     p.add_argument("--out", default=None, help="result JSON (stdout if omitted)")
@@ -113,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--solver", choices=["exhaustive", "sa", "tabu", "ga"], default="exhaustive")
-    p.add_argument("--builder", choices=["analytic", "numeric"], default="analytic")
+    p.add_argument("--solver", choices=SOLVER_NAMES, default="exhaustive")
+    p.add_argument("--builder", choices=BUILDER_NAMES, default="analytic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="max objective evaluations per step")
     p.add_argument("--out", required=True, help="output directory")
@@ -142,184 +143,60 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_inputs(args) -> tuple:
-    files = dataio.NetworkFiles(args.network, args.population, getattr(args, "cases", None))
-    net, names, infected, removed = dataio.load_network(files)
-    report = validate_network(net)
-    for warning in report.warnings:
-        logger.warning("network: %s", warning)
-    if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(report.violations))
-    kind = ModelKind(args.model)
-    state0 = dataio.initial_state(kind, net.m, infected, removed)
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        lam = infection_rate_from_r0(args.r0, args.mu, net)
-    return net, names, kind, lam, state0
+# scenario keys in the order a resolved scenario lists them; each flag
+# stores its value under the key's name, except for these two
+_SCENARIO_ORDER = (
+    "model", "lambda", "r0", "mu", "gamma", "steps", "solver", "builder", "seed",
+    "force", "edges", "population", "cases", "budget",
+)
+_FLAG_DEST = {"lambda": "lam", "edges": "network"}
 
 
-def _cmd_generate(args) -> int:
-    net = dataio.generate_synthetic(args.m, args.profile, args.seed)
-    edges, pops = dataio.write_network_csvs(net, args.out)
-    print(f"wrote {edges} and {pops}", file=sys.stderr)
-    return 0
+def _flag_values(args) -> dict[str, str]:
+    """The command's flags as the ``key = value`` mapping of a scenario document."""
+    values = {}
+    for key in _SCENARIO_ORDER:
+        value = getattr(args, _FLAG_DEST.get(key, key), None)
+        if isinstance(value, bool):
+            values[key] = "true" if value else "false"
+        elif isinstance(value, float):
+            values[key] = repr(value)
+        elif value is not None:
+            values[key] = str(value)
+    return values
 
 
-def _cmd_export_network(args) -> int:
-    files = dataio.NetworkFiles(args.network, args.population)
-    net, names, _, _ = dataio.load_network(files)
-    edges, pops = dataio.write_network_csvs(net, args.out, names)
-    print(f"wrote {edges} and {pops}", file=sys.stderr)
-    return 0
+def _resolve_scenario(
+    values: dict[str, str], base: Path
+) -> tuple[ScenarioConfig, EpidemicState, dict]:
+    """Turn a scenario mapping into its config, start state and echo.
 
-
-def _cmd_simulate(args) -> int:
-    net, _, kind, lam, state0 = _load_inputs(args)
-    cfg = ScenarioConfig(
-        network=net,
-        kind=kind,
-        lam=lam,
-        mu=args.mu,
-        gamma=0.0,
-        steps=max(args.steps, 1),
-        force=args.force,
-    )
-    if args.steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if args.steps == 0:
-        traj = simulate(net, cfg.params, state0, None, 0)
-    else:
-        traj = run_uncontrolled_baseline(cfg, state0)
-    _emit(dataio.trajectory_csv_text(traj), args.out)
-    return 0
-
-
-def _cmd_build_qubo(args) -> int:
-    net, _, kind, lam, state0 = _load_inputs(args)
-    params = EpidemicParams(kind, lam, args.mu)
-    q = build_qubo(net, params, state0, args.gamma, args.builder)
-    _emit(export_qubo(q), args.out)
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    text = Path(args.qubo_file).read_text(encoding="utf-8")
-    q = import_qubo(text)
-    cfg = SolverConfig(seed=args.seed)
-    if args.budget is not None:
-        cfg = SolverConfig(seed=args.seed, budget=args.budget)
-    result = solve(q, args.solver, cfg)
-    payload = {
-        "solver": args.solver,
-        "seed": args.seed,
-        "z_best": result.z_best.astype(int).tolist(),
-        "control": (1 - result.z_best).astype(int).tolist(),
-        "objective": result.objective,
-        "evaluations": result.evaluations,
-        "wall_time_seconds": result.wall_time,
+    Paths are read as ``(base / path).resolve()``.  The echo keeps the
+    mapping's order and strings, except that the rate is always given as
+    ``lambda`` (in the place of ``r0`` when it was calibrated) and each path
+    is the resolved one that was read, so the echo re-runs to the same
+    result from any directory.
+    """
+    paths = {
+        key: (base / values[key]).resolve()
+        for key in ("edges", "population", "cases")
+        if key in values
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
-
-
-def _scenario_echo(args, lam: float) -> dict:
-    # every value is a string so the echo is identical whether the run came
-    # from flags or from a parsed scenario document
-    echo = {
-        "model": args.model,
-        "lambda": repr(float(lam)),
-        "mu": repr(float(args.mu)),
-        "gamma": repr(float(args.gamma)),
-        "steps": str(args.steps),
-        "solver": args.solver,
-        "builder": args.builder,
-        "seed": str(args.seed),
-        "force": "true" if args.force else "false",
-        "edges": str(Path(args.network).resolve()),
-        "population": str(Path(args.population).resolve()),
-    }
-    if args.cases:
-        echo["cases"] = str(Path(args.cases).resolve())
-    if args.budget is not None:
-        echo["budget"] = str(args.budget)
-    return echo
-
-
-def _run_control(cfg: ScenarioConfig, state0, echo: dict, out_dir: str) -> dict:
-    log = run_rolling_horizon(cfg, state0)
-    baseline = run_uncontrolled_baseline(cfg, state0)
-    metrics = compute_metrics(log, baseline)
-    report = dataio.build_run_report(echo, metrics, log, baseline)
-    dataio.write_run_report(out_dir, report, log, baseline)
-    return report
-
-
-def _cmd_control(args) -> int:
-    net, _, kind, lam, state0 = _load_inputs(args)
-    solver_cfg = SolverConfig() if args.budget is None else SolverConfig(budget=args.budget)
-    cfg = ScenarioConfig(
-        network=net,
-        kind=kind,
-        lam=lam,
-        mu=args.mu,
-        gamma=args.gamma,
-        steps=args.steps,
-        solver=args.solver,
-        solver_config=solver_cfg,
-        builder=args.builder,
-        seed=args.seed,
-        force=args.force,
-    )
-    report = _run_control(cfg, state0, _scenario_echo(args, lam), args.out)
-    m = report["metrics"]
-    print(
-        f"peak reduction: {m['peak_reduction_pct']}%  "
-        f"average reduction: {m['avg_reduction_pct']}%",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    payload = compare_totals(
-        dataio.read_trajectory_totals(args.controlled),
-        dataio.read_trajectory_totals(args.baseline),
-    )
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
-
-
-def _scenario_from_document(path: Path) -> tuple[ScenarioConfig, object, dict]:
-    values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
-    base = path.parent
-
-    def _resolve_path(key: str) -> str | None:
-        if key not in values:
-            return None
-        candidate = Path(values[key])
-        return str(candidate if candidate.is_absolute() else (base / candidate).resolve())
-
     if "profile" in values:
         net = dataio.generate_synthetic(
             int(values["m"]), values["profile"], int(values.get("network_seed", "0"))
         )
-        names = None
         infected = np.zeros(net.m)
         removed = None
-        cases_path = _resolve_path("cases")
-        if cases_path is not None:
+        if "cases" in paths:
             # cases in synthetic scenarios reference integer indices directly
             resolver = {str(i): i for i in range(net.m)}
-            infected, removed = dataio.load_cases(cases_path, resolver, net.populations)
+            infected, removed = dataio.load_cases(paths["cases"], resolver, net.populations)
     else:
-        files = dataio.NetworkFiles(
-            _resolve_path("edges"), _resolve_path("population"), _resolve_path("cases")
-        )
-        net, names, infected, removed = dataio.load_network(files)
-    report = validate_network(net)
-    if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(report.violations))
+        files = dataio.NetworkFiles(paths["edges"], paths["population"], paths.get("cases"))
+        net, _, infected, removed = dataio.load_network(files)
+    for warning in validate_network(net).warnings:
+        logger.warning("network: %s", warning)
 
     kind = ModelKind(values["model"])
     mu = float(values["mu"])
@@ -350,14 +227,100 @@ def _scenario_from_document(path: Path) -> tuple[ScenarioConfig, object, dict]:
         seed=int(values.get("seed", "0")),
         force=values.get("force", "false").lower() == "true",
     )
-    echo = dict(values)
-    echo.pop("r0", None)
-    echo["lambda"] = repr(lam)
-    for key in ("edges", "population", "cases"):
-        resolved = _resolve_path(key)
-        if resolved is not None:
-            echo[key] = resolved
+    echo = {}
+    for key, value in values.items():
+        if key in ("lambda", "r0"):
+            echo["lambda"] = repr(lam)
+        else:
+            echo[key] = str(paths[key]) if key in paths else value
     return cfg, state0, echo
+
+
+def _cmd_generate(args) -> int:
+    net = dataio.generate_synthetic(args.m, args.profile, args.seed)
+    edges, pops = dataio.write_network_csvs(net, args.out)
+    print(f"wrote {edges} and {pops}", file=sys.stderr)
+    return 0
+
+
+def _cmd_export_network(args) -> int:
+    files = dataio.NetworkFiles(args.network, args.population)
+    net, names, _, _ = dataio.load_network(files)
+    edges, pops = dataio.write_network_csvs(net, args.out, names)
+    print(f"wrote {edges} and {pops}", file=sys.stderr)
+    return 0
+
+
+def _cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ValueError("steps must be nonnegative")
+    # a scenario needs a gamma and at least one step; the uncontrolled run
+    # reads neither gamma nor, at zero steps, the window
+    values = {**_flag_values(args), "gamma": "0.0", "steps": str(max(args.steps, 1))}
+    cfg, state0, _ = _resolve_scenario(values, Path())
+    if args.steps == 0:
+        traj = simulate(cfg.network, cfg.params, state0, None, 0)
+    else:
+        traj = run_uncontrolled_baseline(cfg, state0)
+    _emit(dataio.trajectory_csv_text(traj), args.out)
+    return 0
+
+
+def _cmd_build_qubo(args) -> int:
+    cfg, state0, _ = _resolve_scenario(_flag_values(args), Path())
+    q = build_qubo(cfg.network, cfg.params, state0, cfg.gamma, cfg.builder)
+    _emit(export_qubo(q), args.out)
+    return 0
+
+
+def _cmd_solve(args) -> int:
+    text = Path(args.qubo_file).read_text(encoding="utf-8")
+    q = import_qubo(text)
+    cfg = SolverConfig(seed=args.seed)
+    if args.budget is not None:
+        cfg = SolverConfig(seed=args.seed, budget=args.budget)
+    result = solve(q, args.solver, cfg)
+    payload = {
+        "solver": args.solver,
+        "seed": args.seed,
+        "z_best": result.z_best.astype(int).tolist(),
+        "control": (1 - result.z_best).astype(int).tolist(),
+        "objective": result.objective,
+        "evaluations": result.evaluations,
+        "wall_time_seconds": result.wall_time,
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    return 0
+
+
+def _run_control(cfg: ScenarioConfig, state0, echo: dict, out_dir: str) -> dict:
+    log = run_rolling_horizon(cfg, state0)
+    baseline = run_uncontrolled_baseline(cfg, state0)
+    metrics = compute_metrics(log, baseline)
+    report = dataio.build_run_report(echo, metrics, log, baseline)
+    dataio.write_run_report(out_dir, report, log, baseline)
+    return report
+
+
+def _cmd_control(args) -> int:
+    cfg, state0, echo = _resolve_scenario(_flag_values(args), Path())
+    report = _run_control(cfg, state0, echo, args.out)
+    m = report["metrics"]
+    print(
+        f"peak reduction: {m['peak_reduction_pct']}%  "
+        f"average reduction: {m['avg_reduction_pct']}%",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_metrics(args) -> int:
+    payload = compare_totals(
+        dataio.read_trajectory_totals(args.controlled),
+        dataio.read_trajectory_totals(args.baseline),
+    )
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    return 0
 
 
 def _cmd_batch(args) -> int:
@@ -366,7 +329,8 @@ def _cmd_batch(args) -> int:
 
     def run_one(scenario_path: str) -> None:
         path = Path(scenario_path)
-        cfg, state0, echo = _scenario_from_document(path)
+        values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
+        cfg, state0, echo = _resolve_scenario(values, path.parent)
         _run_control(cfg, state0, echo, str(out_root / path.stem))
 
     worst = 0

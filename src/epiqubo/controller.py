@@ -24,6 +24,7 @@ from .epinet import (
     invariance_bound,
     step_sis,
     step_sir,
+    validate_network,
 )
 from .qubo import build_qubo, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, solve
@@ -47,6 +48,7 @@ BUILDER_NAMES = ("analytic", "numeric")
 class ScenarioConfig:
     """Everything needed to reproduce one controlled run.
 
+    A network that ``validate_network`` reports violations for is refused.
     ``lam`` above the network's invariance bound is refused outright unless
     ``force`` is set, in which case states are clamped into [0, n_i] and
     every clamp is logged.
@@ -66,6 +68,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ModelKind(self.kind))
+        report = validate_network(self.network)
+        if not report.ok:
+            raise ValueError("invalid network: " + "; ".join(report.violations))
         if self.steps < 1:
             raise ValueError("total steps must be at least 1")
         if self.gamma < 0:

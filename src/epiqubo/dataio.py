@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import BUILDER_NAMES, ControlLog, MetricsReport, ScenarioConfig
+from .controller import ControlLog, MetricsReport
 from .epinet import EpidemicState, LocationNetwork, ModelKind, Trajectory
-from .solvers import SOLVER_NAMES, SolverConfig
+from .solvers import SolverConfig
 
 __all__ = [
     "NetworkFiles",

@@ -32,6 +32,7 @@ from .epinet import (
     ModelKind,
     as_bits,
     batch_infection_cost,
+    check_state,
     cost,
     simulate,
 )
@@ -54,6 +55,7 @@ HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
 ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
 ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
+NUMERIC_BLOCK_ELEMENTS = 1 << 20  # probe controls per numeric-builder batch, in rows x M
 
 
 class QuboParseError(ValueError):
@@ -180,13 +182,20 @@ def build_qubo_numeric(
         raise ValueError("gamma must be nonnegative")
     m = net.m
     rows, cols = np.triu_indices(m, 1)  # pair k sits in row 1 + m + k
-    pairs = np.arange(rows.shape[0])
-    bits = np.zeros((1 + m + rows.shape[0], m), dtype=np.int8)
-    bits[1 + np.arange(m), np.arange(m)] = 1
-    bits[1 + m + pairs, rows] = 1
-    bits[1 + m + pairs, cols] = 1
-    controls = (1 - bits).astype(np.float64)
-    g_inf = batch_infection_cost(net, params, state0, controls, HORIZON)
+    # probe row r keeps locations first[r] and second[r] open (-1: none)
+    first = np.concatenate(([-1], np.arange(m), rows))
+    second = np.concatenate(([-1], np.arange(m), cols))
+    locations = np.arange(m)
+    block = max(1, NUMERIC_BLOCK_ELEMENTS // max(m, 1))
+    g_inf = np.empty(first.shape[0])
+    for start in range(0, first.shape[0], block):
+        stop = start + block
+        isolated = (locations != first[start:stop, None]) & (
+            locations != second[start:stop, None]
+        )
+        g_inf[start:stop] = batch_infection_cost(
+            net, params, state0, isolated.astype(np.float64), HORIZON
+        )
 
     base = g_inf[0]
     linear = g_inf[1 : 1 + m] - base - gamma * net.populations
@@ -196,11 +205,12 @@ def build_qubo_numeric(
     return QuboProblem(linear, upper + upper.T, offset)
 
 
-def _analytic_coefficients(
+def _build_analytic(
     net: LocationNetwork,
     params: EpidemicParams,
     state0: EpidemicState,
     gamma: float,
+    kind: ModelKind,
 ) -> QuboProblem:
     """Closed-form expansion of the two-step cost in the keep-open bits.
 
@@ -210,6 +220,12 @@ def _analytic_coefficients(
     coefficients are assembled below.  ``h`` and ``sigma_next`` are the
     one-step-ahead susceptible fractions with and without the local inflow.
     """
+    name = kind.value.upper()
+    if params.kind is not kind:
+        raise ValueError(f"{name} builder requires {name} parameters")
+    check_state(state0, net, kind)
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     n = net.populations
     a_mat = net.weights
     lam, mu = params.lam, params.mu
@@ -228,13 +244,14 @@ def _analytic_coefficients(
     sigma_next = 1.0 - (a + carried) / n
     h = sigma_next - c / n
 
+    q_mat = lam * h[:, None] * a_mat * c[None, :]
     linear = (
         (2.0 - mu) * c
         + lam * c * (sigma_next - (a + c) / n)
         + lam * h * (a_mat @ a)
         - gamma * n
+        + np.diag(q_mat)  # self-weight terms: z_i^2 = z_i
     )
-    q_mat = lam * h[:, None] * a_mat * c[None, :]
     coupling = q_mat + q_mat.T
     np.fill_diagonal(coupling, 0.0)  # only pairs i != j couple
 
@@ -253,13 +270,7 @@ def build_qubo_sis_analytic(
     gamma: float,
 ) -> QuboProblem:
     """Closed-form SIS compilation of the two-step cost."""
-    if params.kind is not ModelKind.SIS:
-        raise ValueError("SIS builder requires SIS parameters")
-    if state0.removed is not None:
-        raise ValueError("SIS state must not carry a removed compartment")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return _analytic_coefficients(net, params, state0, gamma)
+    return _build_analytic(net, params, state0, gamma, ModelKind.SIS)
 
 
 def build_qubo_sir_analytic(
@@ -269,13 +280,7 @@ def build_qubo_sir_analytic(
     gamma: float,
 ) -> QuboProblem:
     """Closed-form SIR compilation of the two-step cost."""
-    if params.kind is not ModelKind.SIR:
-        raise ValueError("SIR builder requires SIR parameters")
-    if state0.removed is None:
-        raise ValueError("SIR state requires a removed compartment")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return _analytic_coefficients(net, params, state0, gamma)
+    return _build_analytic(net, params, state0, gamma, ModelKind.SIR)
 
 
 def build_qubo(

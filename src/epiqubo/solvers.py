@@ -323,13 +323,13 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     )
 
 
-def _tournament(rng: np.random.Generator, fitness: np.ndarray, size: int) -> int:
-    picks = rng.integers(len(fitness), size=size)
-    return int(picks[np.argmin(fitness[picks])])
-
-
 def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
-    """Generational GA: tournament parents, uniform crossover, bit mutation."""
+    """Generational GA: tournament parents, uniform crossover, bit mutation.
+
+    Each generation keeps the stable-sorted elite and draws every
+    tournament (with replacement), crossover decision, crossover mask and
+    mutation flip for the rest of the population as one array each.
+    """
     cfg.validate()
     m = q.m
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -337,6 +337,7 @@ def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     pop_size = cfg.ga_population if cfg.ga_population is not None else 4 * m
     mutation = cfg.ga_mutation_rate if cfg.ga_mutation_rate is not None else 1.0 / m
     elite_count = min(cfg.ga_elitism, pop_size)
+    children = pop_size - elite_count
 
     pop = rng.integers(0, 2, size=(pop_size, m), dtype=np.int8)
     fitness = batch_evaluate(q, pop)
@@ -349,22 +350,16 @@ def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     for _ in range(cfg.ga_generations):
         if evals + pop_size > cfg.budget:
             break
-        new_pop = np.empty_like(pop)
-        elite_order = np.argsort(fitness, kind="stable")[:elite_count]
-        new_pop[:elite_count] = pop[elite_order]
-        for child_idx in range(elite_count, pop_size):
-            p1 = _tournament(rng, fitness, cfg.ga_tournament_size)
-            p2 = _tournament(rng, fitness, cfg.ga_tournament_size)
-            if rng.random() < cfg.ga_crossover_rate:
-                mask = rng.integers(0, 2, size=m, dtype=np.int8)
-                child = np.where(mask == 1, pop[p1], pop[p2]).astype(np.int8)
-            else:
-                child = pop[p1].copy()
-            if mutation > 0.0:
-                flips = rng.random(m) < mutation
-                child = np.where(flips, 1 - child, child).astype(np.int8)
-            new_pop[child_idx] = child
-        pop = new_pop
+        picks = rng.integers(pop_size, size=(2, children, cfg.ga_tournament_size))
+        winners = np.take_along_axis(picks, fitness[picks].argmin(axis=2)[..., None], axis=2)
+        parents = pop[winners[..., 0]]
+        crossed = rng.random(children) < cfg.ga_crossover_rate
+        masks = rng.integers(0, 2, size=(children, m), dtype=np.int8) == 1
+        offspring = np.where(masks | ~crossed[:, None], parents[0], parents[1])
+        if mutation > 0.0:
+            offspring ^= (rng.random((children, m)) < mutation).astype(np.int8)
+        elite = pop[np.argsort(fitness, kind="stable")[:elite_count]]
+        pop = np.concatenate([elite, offspring])
         fitness = batch_evaluate(q, pop)
         evals += pop_size
         k = int(np.argmin(fitness))

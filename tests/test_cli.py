@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ class TestControl:
         r2.pop("timing")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_r0_resolved_scenario_rerun_reproduces_report(self, workspace, tmp_path):
+        out = workspace["dir"] / "r0run"
+        assert cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--r0", "1.5",
+             "--mu", "0.05", "--gamma", "1e-7", "--steps", "4", "--solver", "exhaustive",
+             "--seed", "7", "--out", str(out)]
+        ) == 0
+        rerun = tmp_path / "r0rerun"
+        assert cli_dispatch(["batch", str(out / "scenario.resolved"), "--out", str(rerun)]) == 0
+        r1 = json.loads((out / "report.json").read_text())
+        r2 = json.loads((rerun / "scenario" / "report.json").read_text())
+        assert list(r1["scenario"])[:3] == ["model", "lambda", "mu"]
+        r1.pop("timing")
+        r2.pop("timing")
+        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+        resolved = (rerun / "scenario" / "scenario.resolved").read_bytes()
+        assert resolved == (out / "scenario.resolved").read_bytes()
+
     def test_report_all_finite_and_in_bounds(self, workspace):
         out = workspace["dir"] / "r3"
         assert self.run_control(workspace, out) == 0
@@ -274,6 +293,36 @@ class TestBatch:
         out = tmp_path / "batchout"
         assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 0
         assert (out / "synth" / "report.json").exists()
+
+    def test_r0_document_matches_r0_flags(self, workspace, tmp_path):
+        out = tmp_path / "flags"
+        assert cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--r0", "1.5",
+             "--mu", "0.05", "--gamma", "1e-7", "--steps", "2", "--out", str(out)]
+        ) == 0
+        resolved = (out / "scenario.resolved").read_text(encoding="utf-8")
+        lines = resolved.split("\n")
+        lines = ["r0 = 1.5" if line.startswith("lambda") else line for line in lines]
+        doc = tmp_path / "calibrated.scenario"
+        doc.write_text("\n".join(lines), encoding="utf-8")
+        assert cli_dispatch(["batch", str(doc), "--out", str(tmp_path / "docs")]) == 0
+        rerun = tmp_path / "docs" / "calibrated" / "scenario.resolved"
+        assert rerun.read_text(encoding="utf-8") == resolved
+
+    def test_network_warnings_logged(self, tmp_path, caplog):
+        (tmp_path / "population.csv").write_text(
+            "location,name,population\n0,a,100\n1,b,100\n", encoding="utf-8"
+        )
+        (tmp_path / "edges.csv").write_text("from,to,weight\n0,1,1.5\n", encoding="utf-8")
+        scen = tmp_path / "heavy.scenario"
+        scen.write_text(
+            "model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            "edges = edges.csv\npopulation = population.csv\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 0
+        assert "network: weight > 1 at (0, 1)" in caplog.messages
 
     def test_bad_scenario_exits_one(self, tmp_path, capsys):
         scen = tmp_path / "bad.scenario"

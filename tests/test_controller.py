@@ -80,6 +80,12 @@ class TestConfigValidation:
             )
 
 
+    def test_rejects_zero_population(self):
+        net = LocationNetwork([100.0, 0.0], [[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="nonpositive population at 1"):
+            ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
+
+
 class TestRollingHorizon:
     def test_huge_gamma_reproduces_baseline_bitwise(self, rng):
         cfg, state = small_scenario(rng, gamma=1e12, steps=10)

@@ -28,6 +28,7 @@ from epiqubo import (
     solve_bruteforce_problem1,
     to_control,
 )
+from epiqubo import qubo as qubo_module
 from epiqubo.epinet import batch_infection_cost
 from conftest import all_bits, random_instance, random_qubo
 
@@ -156,6 +157,19 @@ class TestNumericBuilder:
         q = build_qubo_numeric(net, params, state, gamma)
         assert q.coupling.tobytes() == (want + 0.0).tobytes()
 
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_row_blocks_match_one_block_bitwise(self, rng, kind, monkeypatch):
+        # 22 probe rows in blocks of 4 leave no one-row block, which BLAS
+        # would evaluate as a matrix-vector product with other rounding
+        m = 6
+        net, params, state, gamma = random_instance(rng, kind, m)
+        whole = build_qubo_numeric(net, params, state, gamma)
+        monkeypatch.setattr(qubo_module, "NUMERIC_BLOCK_ELEMENTS", 4 * m)
+        blocked = build_qubo_numeric(net, params, state, gamma)
+        assert blocked.linear.tobytes() == whole.linear.tobytes()
+        assert blocked.coupling.tobytes() == whole.coupling.tobytes()
+        assert blocked.offset == whole.offset
+
     def test_identity_sampled_assignments_large_m(self, rng):
         # beyond exhaustive reach the identity is spot-checked on 1000 draws
         for kind in (ModelKind.SIS, ModelKind.SIR):
@@ -236,6 +250,35 @@ class TestAnalyticBuilders:
                     assert coeffs_close(
                         qa.quadratic.get(key, 0.0), qn.quadratic.get(key, 0.0), scale
                     )
+
+    def test_self_weight_terms_kept(self):
+        # A_ii enters through z_i^2 = z_i; dropping it read 27.1578 here
+        net = LocationNetwork([100.0, 200.0], [[0.3, 0.4], [0.2, 0.0]])
+        params = EpidemicParams(ModelKind.SIS, 0.1, 0.2)
+        state = EpidemicState([10.0, 5.0])
+        qa = build_qubo_sis_analytic(net, params, state, 0.01)
+        qn = build_qubo_numeric(net, params, state, 0.01)
+        assert evaluate(qn, [1, 1]) == pytest.approx(27.170047159375, rel=1e-12)
+        assert coeffs_close(evaluate(qa, [1, 1]), evaluate(qn, [1, 1]))
+
+    def test_matches_numeric_with_self_weights(self, rng):
+        for kind in (ModelKind.SIS, ModelKind.SIR):
+            for _ in range(10):
+                m = int(rng.integers(1, 8))
+                net, params, state, gamma = random_instance(rng, kind, m)
+                weights = net.weights + np.diag(rng.uniform(0.0, 1.0, m))
+                net = LocationNetwork(net.populations, weights)
+                builder = (
+                    build_qubo_sis_analytic if kind is ModelKind.SIS else build_qubo_sir_analytic
+                )
+                qa = builder(net, params, state, gamma)
+                qn = build_qubo_numeric(net, params, state, gamma)
+                scale = max(1.0, abs(qn.offset))
+                assert coeffs_close(qa.offset, qn.offset, scale)
+                for a, b in zip(qa.linear, qn.linear):
+                    assert coeffs_close(float(a), float(b), scale)
+                for a, b in zip(qa.coupling.ravel(), qn.coupling.ravel()):
+                    assert coeffs_close(float(a), float(b), scale)
 
     def test_values_match_simulated_costs(self, rng):
         for kind in (ModelKind.SIS, ModelKind.SIR):

@@ -221,3 +221,9 @@ class TestGenetic:
         q = random_qubo(rng, 10)
         res = solve_genetic(q, SolverConfig(seed=1, budget=200))
         assert res.evaluations <= 200
+
+    def test_full_budget_counts_every_generation(self, rng):
+        q = random_qubo(rng, 10)
+        cfg = SolverConfig(seed=2, ga_population=12, ga_generations=30)
+        res = solve_genetic(q, cfg)
+        assert res.evaluations == 12 * (1 + 30)
