@@ -26,7 +26,7 @@ from .epinet import (
     step_sir,
     validate_network,
 )
-from .qubo import build_qubo, to_control
+from .qubo import ENUM_MAX_BITS, build_qubo, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, solve
 
 __all__ = [
@@ -197,7 +197,17 @@ def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
 
 
 def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLog:
-    """Closed-loop run: recompile, minimize, apply one step, repeat."""
+    """Closed-loop run: recompile, minimize, apply one step, repeat.
+
+    An exhaustive run on more locations than the enumeration limit is
+    refused before the first step.
+    """
+    if cfg.solver == "exhaustive" and cfg.network.m > ENUM_MAX_BITS:
+        raise ValueError(
+            f"the exhaustive solver enumerates at most {ENUM_MAX_BITS} locations, "
+            f"this network has {cfg.network.m}; choose a heuristic solver "
+            "(sa, tabu or ga)"
+        )
     objectives = np.zeros(cfg.steps)
     wall_times = np.zeros(cfg.steps)
     evaluations = np.zeros(cfg.steps, dtype=np.int64)

@@ -391,12 +391,13 @@ def step_arrays(
     from it in the last bits.
     """
     n = net.populations
-    # alpha first and no named temporaries: batches from the numeric builder
-    # hold several (B, M) arrays at once, and each live one costs B * M floats
-    alpha = _force(x, u, net)
-    x_next = (1.0 - params.mu) * x + (params.lam / n) * (
-        n - x if y is None else n - x - y
-    ) * alpha
+    # x_next = (1 - mu) x + (lam / n)(n - x [- y]) alpha, built in alpha's
+    # buffer: batches from the numeric builder hold several (B, M) arrays at
+    # once, and each live one costs B * M floats.  IEEE + and * commute, so
+    # the operand swaps keep every bit.
+    x_next = _force(x, u, net)
+    x_next *= (params.lam / n) * (n - x if y is None else n - x - y)
+    x_next += (1.0 - params.mu) * x
     return x_next, None if y is None else y + params.mu * x
 
 

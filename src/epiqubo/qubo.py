@@ -143,7 +143,7 @@ def evaluate(q: QuboProblem, z) -> float:
 def batch_evaluate(q: QuboProblem, bits: np.ndarray) -> np.ndarray:
     """Objective values for a (B, M) batch of assignments (unvalidated)."""
     zf = bits.astype(np.float64)
-    return q.offset + zf @ q.linear + 0.5 * np.einsum("bi,ij,bj->b", zf, q.coupling, zf)
+    return q.offset + zf @ q.linear + 0.5 * np.einsum("bi,bi->b", zf @ q.coupling, zf)
 
 
 def to_control(z) -> np.ndarray:

@@ -151,10 +151,12 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
         p_high = p[:high_bits]
         s_high = s[:high_bits, :high_bits]
         cross = s[:high_bits, high_bits:]
+        values = np.empty_like(base_low)  # reused, so no block holds two at once
         for kh in range(1 << high_bits):
             zh = _bit_rows(1, high_bits, kh)[0].astype(np.float64)
             const = q.offset + zh @ p_high + 0.5 * zh @ s_high @ zh
-            values = const + base_low + (zh @ cross) @ zl.T
+            np.add(base_low, const, out=values)
+            values += (zh @ cross) @ zl.T
             k = int(np.argmin(values))
             evals += zl.shape[0]
             if values[k] < best_val:
@@ -175,8 +177,14 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     """Single-flip Metropolis annealing on a geometric temperature ladder.
 
     The local-field vector makes each proposal an O(1) delta; accepted flips
-    update it in O(M).  The starting temperature defaults to the largest
-    single-flip delta magnitude seen over 100 random probes.
+    update it in O(M).  Random numbers are drawn in blocks: the first draw
+    is the initial state, then one batch for the 100 random probes whose
+    largest single-flip delta magnitude sets the default starting
+    temperature, then, at each temperature level, one array of flip indices
+    and one of uniforms for all of that level's proposals.  A uniform ``u``
+    becomes the acceptance threshold ``-T log(1 - u)``, and a flip is
+    accepted when its delta does not exceed it, which is the Metropolis
+    rule ``1 - u <= exp(-delta / T)``.
     """
     cfg.validate()
     m = q.m
@@ -207,32 +215,40 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
 
     t0 = cfg.sa_initial_temperature
     if t0 is None:
-        probe_max = 0.0
-        for _ in range(100):
-            if evals >= cfg.budget:
-                return finish()
-            zp = rng.integers(0, 2, size=m, dtype=np.int8)
-            i = int(rng.integers(m))
-            delta = (1 - 2 * int(zp[i])) * float(p[i] + s[i] @ zp)
-            evals += 1
-            probe_max = max(probe_max, abs(delta))
+        n = min(100, cfg.budget - evals)
+        zp = rng.integers(0, 2, size=(n, m), dtype=np.int8)
+        idx = rng.integers(m, size=n)
+        # a single-flip delta is the flipped bit's local field up to sign
+        probe_fields = p[idx] + np.einsum("ij,ij->i", s[idx], zp)
+        evals += n
+        probe_max = float(np.abs(probe_fields).max(initial=0.0))
         t0 = probe_max if probe_max > 0.0 else 1.0
 
+    # signs[i] is the change of z[i] a flip makes; field_list mirrors fields
+    # as Python floats, so a rejected proposal touches no NumPy object
+    signs = (1 - 2 * z.astype(np.float64)).tolist()
+    field_list = fields.tolist()
     temp = t0
     t_final = t0 * cfg.sa_final_temperature_ratio
     flips_per_level = cfg.sa_sweeps_per_temperature * m
     while temp > t_final and evals < cfg.budget:
-        for _ in range(flips_per_level):
-            if evals >= cfg.budget:
-                break
-            i = int(rng.integers(m))
-            step = 1 - 2 * int(z[i])
-            delta = step * float(fields[i])
-            evals += 1
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
+        n = min(flips_per_level, cfg.budget - evals)
+        idx = rng.integers(m, size=n).tolist()
+        # 1 - u lies in (0, 1], so every threshold is finite and nonnegative
+        thresholds = (-temp * np.log1p(-rng.random(n))).tolist()
+        for e, i, threshold in zip(range(evals + 1, evals + n + 1), idx, thresholds):
+            step = signs[i]
+            delta = step * field_list[i]
+            if delta <= threshold:
                 value += delta
-                fields += s[:, i] * step
-                z[i] += step
+                if step > 0.0:
+                    fields += s[i]  # s is symmetric: row i is column i
+                    z[i] = 1
+                else:
+                    fields -= s[i]
+                    z[i] = 0
+                signs[i] = -step
+                field_list = fields.tolist()
                 if value < best_val:
                     # the running value accumulates roundoff; accept a new
                     # best only if the exact objective confirms it
@@ -240,8 +256,9 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
                     if exact < best_val:
                         best_val = exact
                         best_z = z.copy()
-                        trace.append((evals, best_val))
+                        trace.append((e, best_val))
                     value = exact
+        evals += n
         temp *= cfg.sa_cooling_ratio
     return finish()
 
@@ -253,7 +270,9 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     move is admissible when its bit left the tabu list or when it would beat
     the best value ever seen (aspiration).  A descent ends after the
     configured stagnation span; fresh restarts draw from spawned substreams
-    until the restart cap or the evaluation budget runs out.
+    until the restart cap or the evaluation budget runs out.  Moves work in
+    preallocated buffers; only the exact check of a candidate new best
+    allocates.
     """
     cfg.validate()
     m = q.m
@@ -265,6 +284,10 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
         cfg.ts_stagnation_limit if cfg.ts_stagnation_limit is not None else 50 * m
     )
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.ts_restarts)
+    deltas = np.empty(m)
+    masked = np.empty(m)
+    barred = np.empty(m, dtype=bool)
+    no_gain = np.empty(m, dtype=bool)
 
     evals = 0
     best_val = np.inf
@@ -275,6 +298,7 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
             break
         rng = np.random.default_rng(stream)
         z = rng.integers(0, 2, size=m, dtype=np.int8)
+        signs = 1.0 - 2.0 * z  # the change of z[i] a flip makes
         fields = p + s @ z
         value = evaluate(q, z)
         evals += 1
@@ -286,17 +310,28 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
         iteration = 0
         stagnant = 0
         while evals + m <= cfg.budget and stagnant < stagnation_cap:
-            deltas = (1 - 2 * z) * fields
+            np.multiply(signs, fields, out=deltas)
             evals += m
-            admissible = (tabu_until <= iteration) | (value + deltas < best_val)
-            if admissible.any():
-                i = int(np.argmin(np.where(admissible, deltas, np.inf)))
-            else:
+            # a move is barred when it is tabu and would not beat the best
+            # value: the exact complement of the admissible test
+            np.greater(tabu_until, iteration, out=barred)
+            np.add(deltas, value, out=masked)
+            np.greater_equal(masked, best_val, out=no_gain)
+            np.logical_and(barred, no_gain, out=barred)
+            if barred.all():
                 i = int(np.argmin(tabu_until))  # earliest-expiring move
-            step = 1 - 2 * int(z[i])
+            else:
+                np.copyto(masked, deltas)
+                np.copyto(masked, np.inf, where=barred)
+                i = int(np.argmin(masked))
             value += float(deltas[i])
-            fields += s[:, i] * step
-            z[i] += step
+            if signs[i] > 0.0:
+                fields += s[i]  # s is symmetric: row i is column i
+                z[i] = 1
+            else:
+                fields -= s[i]
+                z[i] = 0
+            signs[i] = -signs[i]
             tabu_until[i] = iteration + tenure
             iteration += 1
             if value < best_val:

@@ -63,6 +63,35 @@ class TestExitCodes:
         assert "invariance bound" in capsys.readouterr().err
 
 
+class TestExhaustiveSizeLimit:
+    """The default exhaustive solver cannot serve 30 locations; only `control` solves."""
+
+    @pytest.fixture
+    def flags30(self, tmp_path):
+        netdir = tmp_path / "net30"
+        assert cli_dispatch(
+            ["generate", "--m", "30", "--profile", "gravity", "--seed", "3", "--out", str(netdir)]
+        ) == 0
+        return ["--network", str(netdir / "edges.csv"), "--population",
+                str(netdir / "population.csv"), "--model", "sir", "--lambda", "0.001",
+                "--mu", "0.05"]
+
+    def test_control_refused_before_any_step(self, flags30, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_dispatch(["control", *flags30, "--gamma", "1e-6", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "at most 25 locations" in err and "sa, tabu or ga" in err
+        assert not out.exists()
+
+    def test_build_qubo_and_simulate_still_run(self, flags30, tmp_path, capsys):
+        qfile = tmp_path / "q.txt"
+        assert cli_dispatch(["build-qubo", *flags30, "--gamma", "1e-6", "--out", str(qfile)]) == 0
+        assert import_qubo(qfile.read_text()).m == 30
+        assert cli_dispatch(["simulate", *flags30, "--steps", "2"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
 class TestGenerateExport:
     def test_generate_then_export_round_trip(self, workspace, tmp_path):
         out2 = tmp_path / "reexport"

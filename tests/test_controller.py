@@ -86,6 +86,21 @@ class TestConfigValidation:
             ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
 
 
+    def test_exhaustive_beyond_enumeration_limit_refused_before_any_build(
+        self, rng, monkeypatch
+    ):
+        import epiqubo.controller as controller
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a QUBO was built")
+
+        monkeypatch.setattr(controller, "build_qubo", no_build)
+        cfg, state = small_scenario(rng, m=26)  # the config itself is accepted
+        with pytest.raises(ValueError, match="at most 25 locations.*sa, tabu or ga"):
+            run_rolling_horizon(cfg, state)
+        assert run_uncontrolled_baseline(cfg, state).num_steps == cfg.steps
+
+
 class TestRollingHorizon:
     def test_huge_gamma_reproduces_baseline_bitwise(self, rng):
         cfg, state = small_scenario(rng, gamma=1e12, steps=10)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -227,3 +228,142 @@ class TestGenetic:
         cfg = SolverConfig(seed=2, ga_population=12, ga_generations=30)
         res = solve_genetic(q, cfg)
         assert res.evaluations == 12 * (1 + 30)
+
+
+def reference_tabu(q: QuboProblem, cfg: SolverConfig):
+    """The per-move allocating tabu loop that ``solve_tabu`` must match bit for bit."""
+    m = q.m
+    p = q.linear
+    s = q.coupling
+    tenure = cfg.ts_tenure if cfg.ts_tenure is not None else math.ceil(m / 10) + 1
+    stagnation_cap = (
+        cfg.ts_stagnation_limit if cfg.ts_stagnation_limit is not None else 50 * m
+    )
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.ts_restarts)
+
+    evals = 0
+    best_val = np.inf
+    best_z = None
+    trace = []
+    for stream in streams:
+        if evals >= cfg.budget:
+            break
+        rng = np.random.default_rng(stream)
+        z = rng.integers(0, 2, size=m, dtype=np.int8)
+        fields = p + s @ z
+        value = evaluate(q, z)
+        evals += 1
+        if value < best_val:
+            best_val = value
+            best_z = z.copy()
+            trace.append((evals, best_val))
+        tabu_until = np.zeros(m, dtype=np.int64)
+        iteration = 0
+        stagnant = 0
+        while evals + m <= cfg.budget and stagnant < stagnation_cap:
+            deltas = (1 - 2 * z) * fields
+            evals += m
+            admissible = (tabu_until <= iteration) | (value + deltas < best_val)
+            if admissible.any():
+                i = int(np.argmin(np.where(admissible, deltas, np.inf)))
+            else:
+                i = int(np.argmin(tabu_until))
+            step = 1 - 2 * int(z[i])
+            value += float(deltas[i])
+            fields += s[:, i] * step
+            z[i] += step
+            tabu_until[i] = iteration + tenure
+            iteration += 1
+            if value < best_val:
+                exact = evaluate(q, z)
+                value = exact
+                if exact < best_val:
+                    best_val = exact
+                    best_z = z.copy()
+                    trace.append((evals, best_val))
+                    stagnant = 0
+                else:
+                    stagnant += 1
+            else:
+                stagnant += 1
+    return best_z, evaluate(q, best_z), evals, trace
+
+
+class TestTabuReference:
+    @pytest.mark.parametrize("m", [1, 2, 15, 60])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"budget": 200_000},
+            {"budget": 50_000, "ts_tenure": 100},  # every move tabu once M moves ran
+            {"budget": 200_000, "ts_stagnation_limit": 3},
+            {"budget": 7_777, "ts_restarts": 3},  # the budget ends mid-restart
+        ],
+    )
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_matches_reference_loop(self, m, overrides, integral):
+        r = np.random.default_rng(1000 + m)
+        for seed in range(3):
+            q = random_qubo(r, m)
+            if integral:
+                # small integer coefficients make exact ties in the move
+                # choice and in the aspiration test common
+                q = QuboProblem(np.round(3 * q.linear), np.round(3 * q.coupling), 1.0)
+            cfg = SolverConfig(seed=seed, **overrides)
+            res = solve_tabu(q, cfg)
+            z_ref, objective, evaluations, trace = reference_tabu(q, cfg)
+            assert np.array_equal(res.z_best, z_ref)
+            assert res.z_best.dtype == z_ref.dtype
+            assert res.objective == objective
+            assert res.evaluations == evaluations
+            assert res.trace == trace
+
+
+def annealing_levels(cfg: SolverConfig, t0: float) -> int:
+    """Temperature levels the geometric ladder visits when the budget is ample."""
+    levels = 0
+    temp = t0
+    while temp > t0 * cfg.sa_final_temperature_ratio:
+        levels += 1
+        temp *= cfg.sa_cooling_ratio
+    return levels
+
+
+class TestAnnealingBudget:
+    @pytest.mark.parametrize("budget", [1, 50, 100, 101])
+    def test_budget_spent_inside_probe_phase(self, rng, budget):
+        q = random_qubo(rng, 10)
+        res = solve_simulated_annealing(q, SolverConfig(seed=4, budget=budget))
+        assert res.evaluations == budget
+        assert res.objective == evaluate(q, res.z_best)
+
+    @pytest.mark.parametrize("extra", [1, 250, 10 * 12 * 3 + 7])
+    def test_budget_spent_inside_temperature_level(self, rng, extra):
+        q = random_qubo(rng, 12)
+        res = solve_simulated_annealing(q, SolverConfig(seed=4, budget=101 + extra))
+        assert res.evaluations == 101 + extra
+
+    def test_ample_budget_counts_every_level(self, rng):
+        m = 9
+        q = random_qubo(rng, m)
+        cfg = SolverConfig(seed=6)
+        res = solve_simulated_annealing(q, cfg)
+        # the ladder spans a fixed ratio, so its length does not depend on t0
+        assert res.evaluations == 1 + 100 + annealing_levels(cfg, 1.0) * 10 * m
+
+    def test_explicit_temperature_skips_probes(self, rng):
+        m = 9
+        q = random_qubo(rng, m)
+        cfg = SolverConfig(seed=6, sa_initial_temperature=3.0)
+        res = solve_simulated_annealing(q, cfg)
+        assert res.evaluations == 1 + annealing_levels(cfg, 3.0) * 10 * m
+
+    @pytest.mark.parametrize("method", ["sa", "tabu"])
+    @pytest.mark.parametrize("budget", [1, 150, 20_000])
+    def test_trace_indices_increase_within_evaluations(self, rng, method, budget):
+        q = random_qubo(rng, 14)
+        res = solve(q, method, SolverConfig(seed=8, budget=budget))
+        steps = [e for e, _ in res.trace]
+        assert steps and steps[0] >= 1
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+        assert steps[-1] <= res.evaluations <= budget
