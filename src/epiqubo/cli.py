@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("qubo_file", help="QUBO text file")
     p.add_argument("--solver", choices=SOLVER_NAMES, default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="max objective evaluations")
+    p.add_argument(
+        "--budget", type=int, default=SolverConfig.budget, help="max objective evaluations"
+    )
     p.add_argument("--out", default=None, help="result JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_solve)
 
@@ -166,6 +168,16 @@ def _flag_values(args) -> dict[str, str]:
     return values
 
 
+def _number(values: dict[str, str], key: str, kind: type, default: str | None = None):
+    """``values[key]``, or ``default``, as ``kind``; an error names the key."""
+    raw = values.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"scenario key {key!r}: expected {expected}, got {raw!r}") from None
+
+
 def _resolve_scenario(
     values: dict[str, str], base: Path
 ) -> tuple[ScenarioConfig, EpidemicState, dict]:
@@ -184,7 +196,9 @@ def _resolve_scenario(
     }
     if "profile" in values:
         net = dataio.generate_synthetic(
-            int(values["m"]), values["profile"], int(values.get("network_seed", "0"))
+            _number(values, "m", int),
+            values["profile"],
+            _number(values, "network_seed", int, "0"),
         )
         infected = np.zeros(net.m)
         removed = None
@@ -199,32 +213,30 @@ def _resolve_scenario(
         logger.warning("network: %s", warning)
 
     kind = ModelKind(values["model"])
-    mu = float(values["mu"])
+    mu = _number(values, "mu", float)
     if "lambda" in values:
-        lam = float(values["lambda"])
+        lam = _number(values, "lambda", float)
     else:
-        lam = infection_rate_from_r0(float(values["r0"]), mu, net)
+        lam = infection_rate_from_r0(_number(values, "r0", float), mu, net)
     state0 = dataio.initial_state(kind, net.m, infected, removed)
 
     solver_kwargs = {}
     for field in dataclass_fields(SolverConfig):
         if field.name == "seed" or field.name not in values:
             continue
-        raw = values[field.name]
-        solver_kwargs[field.name] = (
-            int(raw) if field.type in ("int", "int | None") else float(raw)
-        )
+        number = int if field.type in ("int", "int | None") else float
+        solver_kwargs[field.name] = _number(values, field.name, number)
     cfg = ScenarioConfig(
         network=net,
         kind=kind,
         lam=lam,
         mu=mu,
-        gamma=float(values["gamma"]),
-        steps=int(values.get("steps", "30")),
+        gamma=_number(values, "gamma", float),
+        steps=_number(values, "steps", int, "30"),
         solver=values.get("solver", "exhaustive"),
         solver_config=SolverConfig(**solver_kwargs),
         builder=values.get("builder", "analytic"),
-        seed=int(values.get("seed", "0")),
+        seed=_number(values, "seed", int, "0"),
         force=values.get("force", "false").lower() == "true",
     )
     echo = {}
@@ -276,10 +288,7 @@ def _cmd_build_qubo(args) -> int:
 def _cmd_solve(args) -> int:
     text = Path(args.qubo_file).read_text(encoding="utf-8")
     q = import_qubo(text)
-    cfg = SolverConfig(seed=args.seed)
-    if args.budget is not None:
-        cfg = SolverConfig(seed=args.seed, budget=args.budget)
-    result = solve(q, args.solver, cfg)
+    result = solve(q, args.solver, SolverConfig(seed=args.seed, budget=args.budget))
     payload = {
         "solver": args.solver,
         "seed": args.seed,

@@ -119,10 +119,9 @@ class MetricsReport:
     avg_reduction_pct: float | None
     per_location_peak_uncontrolled: np.ndarray
     per_location_peak_controlled: np.ndarray
-    solver_time: dict[str, float]
 
     def as_dict(self) -> dict:
-        """JSON-ready view; solver timing is intentionally not included here."""
+        """JSON-ready view."""
         return {
             "peak_uncontrolled": self.peak_uncontrolled,
             "peak_controlled": self.peak_controlled,
@@ -258,18 +257,12 @@ def compare_totals(totals_c: np.ndarray, totals_u: np.ndarray) -> dict:
 
 
 def compute_metrics(controlled: ControlLog, baseline: Trajectory) -> MetricsReport:
-    """``compare_totals`` of the two runs plus per-location peaks and solver time."""
+    """``compare_totals`` of the two runs plus per-location peaks."""
     traj = controlled.trajectory
     if traj.num_steps != baseline.num_steps or traj.m != baseline.m:
         raise ValueError("controlled and baseline runs must cover the same window")
-    wall = controlled.wall_times
     return MetricsReport(
         **compare_totals(traj.totals(), baseline.totals()),
         per_location_peak_uncontrolled=baseline.infected.max(axis=0),
         per_location_peak_controlled=traj.infected.max(axis=0),
-        solver_time={
-            "total_seconds": float(wall.sum()),
-            "mean_seconds": float(wall.mean()),
-            "max_seconds": float(wall.max()),
-        },
     )

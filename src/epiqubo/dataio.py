@@ -354,6 +354,7 @@ def build_run_report(
     documents there.
     """
     traj = log.trajectory
+    wall = log.wall_times
     report = {
         "scenario": dict(echo),
         "metrics": metrics.as_dict(),
@@ -366,8 +367,10 @@ def build_run_report(
         },
         "baseline": {"infected": baseline.infected.tolist()},
         "timing": {
-            "per_step_seconds": log.wall_times.tolist(),
-            **metrics.solver_time,
+            "per_step_seconds": wall.tolist(),
+            "total_seconds": float(wall.sum()),
+            "mean_seconds": float(wall.mean()),
+            "max_seconds": float(wall.max()),
         },
     }
     return report

@@ -55,7 +55,12 @@ HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
 ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
 ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
-NUMERIC_BLOCK_ELEMENTS = 1 << 20  # probe controls per numeric-builder batch, in rows x M
+# Probe controls per numeric-builder batch, in rows x M.  From M = 128 the
+# probes span several blocks, and BLAS (seen with OpenBLAS 0.3.31) may round
+# a row of ``X @ W.T`` differently for different row counts of ``X``: the
+# numeric QUBO text can then differ in its last digit from an unblocked
+# build.  For a given M it is still deterministic.
+NUMERIC_BLOCK_ELEMENTS = 1 << 20
 
 
 class QuboParseError(ValueError):

@@ -1,8 +1,9 @@
 """Seeded minimizers for the quadratic binary objectives.
 
 All solvers share one contract: deterministic given (problem, config),
-reported objective exactly equal to re-evaluating the returned bits, and a
-nonincreasing best-so-far trace indexed by objective-evaluation count.
+reported objective exactly equal to re-evaluating the returned bits, a
+nonincreasing best-so-far trace indexed by objective-evaluation count, and,
+for the heuristics, at most ``budget`` evaluations, down to M = 0.
 Randomness comes from a PCG64 stream seeded per run; restarts draw from
 spawned substreams so multi-restart runs stay reproducible regardless of
 scheduling.
@@ -37,6 +38,10 @@ SOLVER_NAMES = ("exhaustive", "sa", "tabu", "ga")
 class SolverConfig:
     """Common knobs plus per-method settings; None means a size-derived default.
 
+    ``budget`` is the number of objective values a solver may compute: one
+    full evaluation or one single-flip delta counts as one.  The exhaustive
+    scan ignores it.
+
     Defaults: SA probes 100 random single flips for its starting temperature,
     cools by 0.97 down to 1e-3 of the start with 10*M flips per level; tabu
     tenure is ceil(M/10)+1 with a 50*M stagnation cap; the GA runs 4*M
@@ -59,7 +64,7 @@ class SolverConfig:
     ga_tournament_size: int = 3
     ga_elitism: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if self.sa_initial_temperature is not None and self.sa_initial_temperature <= 0:
@@ -101,6 +106,19 @@ class SolveResult:
     trace: list[tuple[int, float]] | None = None
 
 
+def _result(
+    q: QuboProblem, z: np.ndarray, evals: int, start: float, trace: list[tuple[int, float]]
+) -> SolveResult:
+    """Package ``z`` with its exact objective and the wall time since ``start``."""
+    return SolveResult(
+        z_best=z,
+        objective=evaluate(q, z),
+        evaluations=evals,
+        wall_time=time.perf_counter() - start,
+        trace=trace,
+    )
+
+
 def incremental_delta(q: QuboProblem, z, i: int) -> float:
     """Objective change from flipping bit ``i``, without a full re-evaluation.
 
@@ -125,7 +143,6 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
     if m > ENUM_MAX_BITS:
         raise ValueError(f"{m} variables exceed the enumeration limit of {ENUM_MAX_BITS}")
     start = time.perf_counter()
-    total = 1 << m
     low_bits = min(m, ENUM_CHUNK_BITS)
     high_bits = m - low_bits
     s = q.coupling
@@ -135,42 +152,29 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
     p_low = p[high_bits:]
     s_low = s[high_bits:, high_bits:]
     base_low = zl @ p_low + 0.5 * np.einsum("bi,ij,bj->b", zl, s_low, zl)
+    p_high = p[:high_bits]
+    s_high = s[:high_bits, :high_bits]
+    cross = s[:high_bits, high_bits:]
 
     trace: list[tuple[int, float]] = []
     best_val = np.inf
     best_bits: np.ndarray | None = None
     evals = 0
-    if high_bits == 0:
-        values = q.offset + base_low
+    values = np.empty_like(base_low)  # reused, so no block holds two at once
+    # with no high bits, the single block is the empty row and adds zeros
+    for kh in range(1 << high_bits):
+        zh = _bit_rows(1, high_bits, kh)[0].astype(np.float64)
+        const = q.offset + zh @ p_high + 0.5 * zh @ s_high @ zh
+        np.add(base_low, const, out=values)
+        values += (zh @ cross) @ zl.T
         k = int(np.argmin(values))
-        best_val = float(values[k])
-        best_bits = zl[k].astype(np.int8)
-        evals = total
-        trace.append((evals, best_val))
-    else:
-        p_high = p[:high_bits]
-        s_high = s[:high_bits, :high_bits]
-        cross = s[:high_bits, high_bits:]
-        values = np.empty_like(base_low)  # reused, so no block holds two at once
-        for kh in range(1 << high_bits):
-            zh = _bit_rows(1, high_bits, kh)[0].astype(np.float64)
-            const = q.offset + zh @ p_high + 0.5 * zh @ s_high @ zh
-            np.add(base_low, const, out=values)
-            values += (zh @ cross) @ zl.T
-            k = int(np.argmin(values))
-            evals += zl.shape[0]
-            if values[k] < best_val:
-                best_val = float(values[k])
-                best_bits = np.concatenate([zh.astype(np.int8), zl[k].astype(np.int8)])
-                trace.append((evals, best_val))
+        evals += zl.shape[0]
+        if values[k] < best_val:
+            best_val = float(values[k])
+            best_bits = np.concatenate([zh.astype(np.int8), zl[k].astype(np.int8)])
+            trace.append((evals, best_val))
     assert best_bits is not None
-    return SolveResult(
-        z_best=best_bits,
-        objective=evaluate(q, best_bits),
-        evaluations=evals,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return _result(q, best_bits, evals, start, trace)
 
 
 def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
@@ -186,7 +190,6 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     accepted when its delta does not exceed it, which is the Metropolis
     rule ``1 - u <= exp(-delta / T)``.
     """
-    cfg.validate()
     m = q.m
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     start = time.perf_counter()
@@ -200,18 +203,8 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     best_val = value
     best_z = z.copy()
     trace = [(evals, best_val)]
-
-    def finish() -> SolveResult:
-        return SolveResult(
-            z_best=best_z,
-            objective=evaluate(q, best_z),
-            evaluations=evals,
-            wall_time=time.perf_counter() - start,
-            trace=trace,
-        )
-
-    if evals >= cfg.budget:
-        return finish()
+    if evals >= cfg.budget or m == 0:
+        return _result(q, best_z, evals, start, trace)
 
     t0 = cfg.sa_initial_temperature
     if t0 is None:
@@ -260,7 +253,7 @@ def solve_simulated_annealing(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
                     value = exact
         evals += n
         temp *= cfg.sa_cooling_ratio
-    return finish()
+    return _result(q, best_z, evals, start, trace)
 
 
 def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
@@ -274,7 +267,6 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     preallocated buffers; only the exact check of a candidate new best
     allocates.
     """
-    cfg.validate()
     m = q.m
     start = time.perf_counter()
     p = q.linear
@@ -309,7 +301,8 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
         tabu_until = np.zeros(m, dtype=np.int64)
         iteration = 0
         stagnant = 0
-        while evals + m <= cfg.budget and stagnant < stagnation_cap:
+        # a move costs m evaluations; with no bits there is no move
+        while 0 < m <= cfg.budget - evals and stagnant < stagnation_cap:
             np.multiply(signs, fields, out=deltas)
             evals += m
             # a move is barred when it is tabu and would not beat the best
@@ -349,13 +342,7 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
             else:
                 stagnant += 1
     assert best_z is not None
-    return SolveResult(
-        z_best=best_z,
-        objective=evaluate(q, best_z),
-        evaluations=evals,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return _result(q, best_z, evals, start, trace)
 
 
 def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
@@ -363,13 +350,17 @@ def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
 
     Each generation keeps the stable-sorted elite and draws every
     tournament (with replacement), crossover decision, crossover mask and
-    mutation flip for the rest of the population as one array each.
+    mutation flip for the rest of the population as one array each.  The
+    initial population holds at most ``budget`` individuals.
     """
-    cfg.validate()
     m = q.m
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     start = time.perf_counter()
+    if m == 0:  # the empty assignment is the whole search space
+        z = np.zeros(0, dtype=np.int8)
+        return _result(q, z, 1, start, [(1, evaluate(q, z))])
     pop_size = cfg.ga_population if cfg.ga_population is not None else 4 * m
+    pop_size = min(pop_size, cfg.budget)
     mutation = cfg.ga_mutation_rate if cfg.ga_mutation_rate is not None else 1.0 / m
     elite_count = min(cfg.ga_elitism, pop_size)
     children = pop_size - elite_count
@@ -402,13 +393,7 @@ def solve_genetic(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
             best_val = float(fitness[k])
             best_z = pop[k].copy()
             trace.append((evals, best_val))
-    return SolveResult(
-        z_best=best_z,
-        objective=evaluate(q, best_z),
-        evaluations=evals,
-        wall_time=time.perf_counter() - start,
-        trace=trace,
-    )
+    return _result(q, best_z, evals, start, trace)
 
 
 def solve(q: QuboProblem, method: str, cfg: SolverConfig | None = None) -> SolveResult:

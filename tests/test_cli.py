@@ -176,6 +176,15 @@ class TestBuildSolvePipeline:
         err = capsys.readouterr().err
         assert "line 1" in err and "M=10000000" in err
 
+    @pytest.mark.parametrize("solver", ["sa", "ga"])
+    def test_empty_qubo_solves(self, tmp_path, capsys, solver):
+        qfile = tmp_path / "m0.qubo"
+        qfile.write_text("# QUBO M=0 offset=1.5\n", encoding="utf-8")
+        assert cli_dispatch(["solve", str(qfile), "--solver", solver]) == 0
+        out = capsys.readouterr().out
+        assert '"z_best": []' in out
+        assert json.loads(out)["objective"] == 1.5
+
     def test_builders_agree_through_files(self, workspace, tmp_path):
         texts = []
         for builder in ("analytic", "numeric"):
@@ -248,6 +257,17 @@ class TestControl:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         resolved = (rerun / "scenario" / "scenario.resolved").read_bytes()
         assert resolved == (out / "scenario.resolved").read_bytes()
+
+    def test_bad_solver_knob_refused_before_any_step(self, workspace, capsys):
+        out = workspace["dir"] / "run"
+        code = cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--lambda", "0.02",
+             "--mu", "0.05", "--gamma", "1e-7", "--solver", "sa", "--budget", "0",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "budget must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_all_finite_and_in_bounds(self, workspace):
         out = workspace["dir"] / "r3"
@@ -358,6 +378,24 @@ class TestBatch:
         scen.write_text("model = sis\nwat = 1\n", encoding="utf-8")
         assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ts_restarts", "2.5", "scenario key 'ts_restarts': expected an integer, got '2.5'"),
+            ("mu", "fast", "scenario key 'mu': expected a number, got 'fast'"),
+            ("ts_restarts", "0", "restart count must be positive"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, key, value, message):
+        values = {"model": "sis", "lambda": "0.01", "mu": "0.1", "gamma": "1e-6", "steps": "1",
+                  "profile": "complete", "m": "3", "solver": "tabu", key: value}
+        scen = tmp_path / "bad.scenario"
+        scen.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "bad").exists()
 
     def test_concurrent_batch_isolated(self, workspace, tmp_path):
         scens = []

@@ -21,6 +21,7 @@ from epiqubo import (
     solve_simulated_annealing,
     solve_tabu,
 )
+from epiqubo.solvers import SOLVER_NAMES
 from conftest import random_qubo
 
 HEURISTICS = ("sa", "tabu", "ga")
@@ -146,6 +147,31 @@ class TestHeuristicContracts:
             solve(trivial, "gradient", SolverConfig())
 
 
+class TestSolverContract:
+    """What every solver promises on any QUBO, down to zero variables."""
+
+    @pytest.mark.parametrize("method", SOLVER_NAMES)
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(0, 8), budget=st.integers(1, 5_000), seed=st.integers(0, 2**31 - 1))
+    def test_contract_property(self, method, m, budget, seed):
+        q = random_qubo(np.random.default_rng(seed), m)
+        res = solve(q, method, SolverConfig(seed=seed, budget=budget))
+        assert res.z_best.shape == (m,)
+        assert res.objective == evaluate(q, res.z_best)
+        if m == 0:
+            assert res.objective == q.offset
+        steps = [e for e, _ in res.trace]
+        values = [v for _, v in res.trace]
+        assert steps and steps[0] >= 1
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+        assert steps[-1] <= res.evaluations
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        if method == "exhaustive":
+            assert res.evaluations == 2**m
+        else:
+            assert 1 <= res.evaluations <= budget
+
+
 class TestSimulatedAnnealing:
     def test_budget_one_returns_seeded_initial_state(self, rng):
         q = random_qubo(rng, 10)
@@ -188,6 +214,14 @@ class TestTabu:
         res = solve_tabu(q, cfg)
         assert res.evaluations <= 2_000
         assert res.objective == evaluate(q, res.z_best)
+
+    def test_empty_problem_with_explicit_stagnation_limit(self):
+        # with no bits there is no move, whatever the stagnation limit
+        cfg = SolverConfig(budget=50, ts_stagnation_limit=5)
+        res = solve_tabu(QuboProblem([], offset=1.5), cfg)
+        assert res.z_best.shape == (0,)
+        assert res.objective == 1.5
+        assert 1 <= res.evaluations <= 50
 
     def test_stagnation_cap_limits_descent(self, rng):
         q = random_qubo(rng, 10)
