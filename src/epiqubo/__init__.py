@@ -41,8 +41,10 @@ from .qubo import (
     build_qubo_sis_analytic,
     evaluate,
     export_qubo,
+    fix_persistent,
     from_control,
     import_qubo,
+    restrict,
     solve_bruteforce_problem1,
     to_control,
 )
@@ -82,12 +84,14 @@ __all__ = [
     "cost",
     "evaluate",
     "export_qubo",
+    "fix_persistent",
     "from_control",
     "import_qubo",
     "incremental_delta",
     "infection_force",
     "infection_rate_from_r0",
     "invariance_bound",
+    "restrict",
     "run_rolling_horizon",
     "run_uncontrolled_baseline",
     "simulate",

@@ -226,6 +226,9 @@ def _resolve_scenario(
             continue
         number = int if field.type in ("int", "int | None") else float
         solver_kwargs[field.name] = _number(values, field.name, number)
+    force = values.get("force", "false")
+    if force.lower() not in ("true", "false"):
+        raise ValueError(f"scenario key 'force': expected true or false, got {force!r}")
     cfg = ScenarioConfig(
         network=net,
         kind=kind,
@@ -237,7 +240,7 @@ def _resolve_scenario(
         solver_config=SolverConfig(**solver_kwargs),
         builder=values.get("builder", "analytic"),
         seed=_number(values, "seed", int, "0"),
-        force=values.get("force", "false").lower() == "true",
+        force=force.lower() == "true",
     )
     echo = {}
     for key, value in values.items():
@@ -344,9 +347,9 @@ def _cmd_batch(args) -> int:
 
     worst = 0
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {pool.submit(run_one, s): s for s in args.scenarios}
-        for future in concurrent.futures.as_completed(futures):
-            name = futures[future]
+        futures = [(s, pool.submit(run_one, s)) for s in args.scenarios]
+        # report errors in document order, whatever order the scenarios finish in
+        for name, future in futures:
             try:
                 future.result()
             except (ValueError, OSError, QuboParseError) as exc:

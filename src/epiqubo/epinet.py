@@ -430,6 +430,8 @@ def _rho_of_unit_shifted(b: np.ndarray) -> float:
 
     A nilpotent B is detected exactly: iterating B on the all-ones vector
     reaches zero within M steps, certifying rho(B) = 0 and a result of 1.
+    Each iterate is divided by its largest entry, so it cannot overflow; B
+    is nonnegative, so the scaling never turns a nonzero iterate into zero.
     Otherwise I + B is iterated directly; its unit diagonal removes the
     periodicity that stalls power iteration on bare adjacency structures.
     """
@@ -437,8 +439,10 @@ def _rho_of_unit_shifted(b: np.ndarray) -> float:
     v = np.ones(m)
     for _ in range(m):
         v = b @ v
-        if not v.any():
+        top = v.max()
+        if top == 0.0:
             return 1.0
+        v /= top
     x = np.ones(m)
     for _ in range(SPECTRAL_MAX_ITER):
         y = x + b @ x

@@ -41,6 +41,8 @@ __all__ = [
     "QuboProblem",
     "QuboParseError",
     "evaluate",
+    "fix_persistent",
+    "restrict",
     "to_control",
     "from_control",
     "build_qubo_numeric",
@@ -61,6 +63,9 @@ ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
 # numeric QUBO text can then differ in its last digit from an unblocked
 # build.  For a given M it is still deterministic.
 NUMERIC_BLOCK_ELEMENTS = 1 << 20
+# A bit is fixed only when its marginal clears zero by this share of its row's
+# coefficient mass, so roundoff in the sums can never fix a tied bit.
+PERSISTENCY_RTOL = 1e-12
 
 
 class QuboParseError(ValueError):
@@ -149,6 +154,53 @@ def batch_evaluate(q: QuboProblem, bits: np.ndarray) -> np.ndarray:
     """Objective values for a (B, M) batch of assignments (unvalidated)."""
     zf = bits.astype(np.float64)
     return q.offset + zf @ q.linear + 0.5 * np.einsum("bi,bi->b", zf @ q.coupling, zf)
+
+
+def fix_persistent(q: QuboProblem) -> np.ndarray:
+    """Bits that take the same value in every minimizer: 0 or 1, else -1.
+
+    First-order (roof-duality) persistency, sound for couplings of any sign.
+    Setting ``z_i = 1`` changes the objective by ``linear_i + C[i] @ z``.
+    With the bits fixed so far held, that change is at least ``base_i +
+    min(C, 0)[i] @ free`` and at most ``base_i + max(C, 0)[i] @ free``, where
+    ``base = linear + C @ ones``.  A lower bound above zero fixes ``z_i = 0``;
+    an upper bound below zero fixes ``z_i = 1``.  Rounds repeat until one
+    fixes nothing.  Both tests need a margin of ``PERSISTENCY_RTOL`` times
+    the row's coefficient mass, so a tie leaves the bit free.
+    """
+    c = q.coupling
+    neg = np.minimum(c, 0.0)
+    pos = np.maximum(c, 0.0)
+    tol = PERSISTENCY_RTOL * (np.abs(q.linear) + np.abs(c).sum(axis=1))
+    fixed = np.full(q.m, -1, dtype=np.int8)
+    while True:
+        free = fixed < 0
+        base = q.linear + c @ (fixed == 1).astype(np.float64)
+        freef = free.astype(np.float64)
+        to_zero = free & (base + neg @ freef > tol)
+        to_one = free & (base + pos @ freef < -tol)
+        if not (to_zero.any() or to_one.any()):
+            return fixed
+        fixed[to_zero] = 0
+        fixed[to_one] = 1
+
+
+def restrict(q: QuboProblem, fixed) -> QuboProblem:
+    """The objective over the free bits (``fixed < 0``) of ``fix_persistent``.
+
+    Bits fixed to 1 fold into the offset and the free bits' linear terms,
+    so ``evaluate(restrict(q, fixed), z[free])`` equals ``evaluate(q, z)``
+    for every ``z`` that agrees with ``fixed``.
+    """
+    fixed = np.asarray(fixed)
+    if fixed.shape != (q.m,) or not np.isin(fixed, (-1, 0, 1)).all():
+        raise ValueError(f"fixed must hold one of -1, 0, 1 for each of the {q.m} variables")
+    free = np.flatnonzero(fixed < 0)
+    ones = np.flatnonzero(fixed == 1)
+    c = q.coupling
+    offset = q.offset + q.linear[ones].sum() + 0.5 * c[np.ix_(ones, ones)].sum()
+    linear = q.linear[free] + c[np.ix_(free, ones)].sum(axis=1)
+    return QuboProblem(linear, c[np.ix_(free, free)], offset)
 
 
 def to_control(z) -> np.ndarray:

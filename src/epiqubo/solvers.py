@@ -341,6 +341,8 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
                     stagnant += 1
             else:
                 stagnant += 1
+        if m == 0:
+            break  # every restart would evaluate the same empty assignment
     assert best_z is not None
     return _result(q, best_z, evals, start, trace)
 

@@ -62,6 +62,17 @@ class TestExitCodes:
         assert code == 1
         assert "invariance bound" in capsys.readouterr().err
 
+    def test_force_flag_clamps_instead_of_refusing(self, workspace, caplog):
+        out = workspace["dir"] / "forced"
+        with caplog.at_level(logging.WARNING):
+            code = cli_dispatch(
+                ["control", *network_flags(workspace), "--model", "sir", "--lambda", "0.9",
+                 "--mu", "0.1", "--gamma", "1", "--steps", "2", "--force", "--out", str(out)]
+            )
+        assert code == 0
+        assert "states will be clamped" in caplog.text
+        assert "force = true" in (out / "scenario.resolved").read_text(encoding="utf-8")
+
 
 class TestExhaustiveSizeLimit:
     """The default exhaustive solver cannot serve 30 locations; only `control` solves."""
@@ -412,3 +423,36 @@ class TestBatch:
         assert cli_dispatch(["batch", *scens, "--out", str(out), "--jobs", "2"]) == 0
         assert (out / "s0" / "report.json").exists()
         assert (out / "s1" / "report.json").exists()
+
+    @pytest.mark.parametrize("value, code", [("yes", 1), ("1", 1), ("TRUE", 0), ("False", 1)])
+    def test_force_parses_only_true_or_false(self, tmp_path, capsys, value, code):
+        # above the invariance bound, so only a true force lets the run proceed
+        scen = tmp_path / "hot.scenario"
+        scen.write_text(
+            "model = sis\nlambda = 0.9\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            f"profile = complete\nm = 3\nforce = {value}\n",
+            encoding="utf-8",
+        )
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        if value.lower() in ("true", "false"):
+            assert "expected true or false" not in err
+        else:
+            assert f"scenario key 'force': expected true or false, got {value!r}" in err
+
+    def test_errors_reported_in_submission_order(self, tmp_path, capsys):
+        # the first document fails after generating and calibrating a network,
+        # the second at once while parsing
+        slow = tmp_path / "z_slow.scenario"
+        slow.write_text(
+            "model = sis\nr0 = 2\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            "profile = complete\nm = 300\nforce = maybe\n",
+            encoding="utf-8",
+        )
+        fast = tmp_path / "a_fast.scenario"
+        fast.write_text("model = sis\nwat = 1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(slow), str(fast), "--out", str(out), "--jobs", "2"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        names = [line.split(":")[0] for line in lines if line.startswith("error in ")]
+        assert names == [f"error in {slow}", f"error in {fast}"]

@@ -14,14 +14,21 @@ from epiqubo import (
     ModelKind,
     ScenarioConfig,
     SolverConfig,
+    build_qubo,
     compute_metrics,
     cost,
+    evaluate,
+    fix_persistent,
+    from_control,
+    infection_rate_from_r0,
     invariance_bound,
     run_rolling_horizon,
     run_uncontrolled_baseline,
     simulate,
+    solve,
     solve_bruteforce_problem1,
 )
+from epiqubo.dataio import generate_synthetic
 from conftest import random_instance
 
 
@@ -171,6 +178,36 @@ class TestRollingHorizon:
         log_n = run_rolling_horizon(cfg_n, state)
         assert np.array_equal(log_a.trajectory.controls, log_n.trajectory.controls)
         assert np.array_equal(log_a.trajectory.infected, log_n.trajectory.infected)
+
+    def test_step_records_full_objective_and_reduced_search(self, rng):
+        cfg, state = small_scenario(rng, kind=ModelKind.SIR, m=8, gamma=1e-3, steps=6)
+        log = run_rolling_horizon(cfg, state)
+        for t in range(cfg.steps):
+            q = build_qubo(cfg.network, cfg.params, log.trajectory.state_at(t), cfg.gamma)
+            z = from_control(log.trajectory.controls[t])
+            assert log.objectives[t] == evaluate(q, z)
+            # the exhaustive scan enumerates only the bits left free
+            assert log.evaluations[t] == 2 ** int((fix_persistent(q) < 0).sum())
+
+    def test_no_heuristic_beats_certified_steps_at_m107(self):
+        # the criterion-7 study network: calibrated SIR gravity, five seeded sites
+        net = generate_synthetic(107, "gravity", 2024)
+        rho = 1.0 / infection_rate_from_r0(1.0, 1.0, net)
+        mu = 0.9 * invariance_bound(net) * rho / 3.0
+        x0 = np.zeros(net.m)
+        x0[:5] = 1e-3 * net.populations[:5]
+        state = EpidemicState(x0, np.zeros(net.m))
+        cfg = ScenarioConfig(
+            network=net, kind=ModelKind.SIR, lam=3.0 * mu / rho, mu=mu, gamma=1e-5,
+            steps=6, solver="sa", seed=3,
+        )
+        log = run_rolling_horizon(cfg, state)
+        assert log.trajectory.controls.any() and not log.trajectory.controls.all()
+        for t in range(cfg.steps):
+            q = build_qubo(net, cfg.params, log.trajectory.state_at(t), cfg.gamma)
+            for method in ("sa", "tabu"):
+                other = solve(q, method, SolverConfig(seed=100 + t))
+                assert other.objective >= log.objectives[t], f"{method} beat step {t}"
 
 
 class TestBaseline:

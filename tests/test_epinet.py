@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from epiqubo import (
     step_sis,
     validate_network,
 )
+from epiqubo.dataio import generate_synthetic
 from epiqubo.epinet import step_arrays
 from conftest import random_instance, random_network
 
@@ -336,3 +338,13 @@ class TestSpectral:
             got = infection_rate_from_r0(2.5, 0.3, net)
             rho = float(np.abs(np.linalg.eigvals(net.weights + np.eye(net.m))).max())
             assert got == pytest.approx(2.5 * 0.3 / rho, rel=1e-9)
+
+    def test_calibration_on_large_complete_network_does_not_overflow(self):
+        # the nilpotency test multiplies by the weights M times; on a dense
+        # M = 300 network the unscaled iterate overflowed
+        net = generate_synthetic(300, "complete", 2024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = infection_rate_from_r0(3.0, 0.1, net)
+        rho = float(np.abs(np.linalg.eigvals(net.weights + np.eye(net.m))).max())
+        assert got == pytest.approx(3.0 * 0.1 / rho, rel=1e-9)

@@ -22,10 +22,13 @@ from epiqubo import (
     cost,
     evaluate,
     export_qubo,
+    fix_persistent,
     from_control,
     import_qubo,
+    restrict,
     simulate,
     solve_bruteforce_problem1,
+    solve_exhaustive,
     to_control,
 )
 from epiqubo import qubo as qubo_module
@@ -443,3 +446,78 @@ class TestCouplingStorage:
             if i != j
         ]
         assert exported == [(i, j, v) for (i, j), v in q.quadratic.items()]
+
+
+def mixed_sign_qubo(seed: int, m: int, integer: bool, linear_scale: float) -> QuboProblem:
+    """Random QUBO with couplings of both signs; integer values make ties common."""
+    rng = np.random.default_rng(seed)
+    if integer:
+        linear = linear_scale * rng.integers(-4, 5, size=m)
+        upper = np.triu(rng.integers(-3, 4, size=(m, m)), 1).astype(np.float64)
+    else:
+        linear = linear_scale * rng.normal(size=m)
+        upper = np.triu(rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.6), 1)
+    return QuboProblem(linear, upper + upper.T, float(rng.normal()))
+
+
+def lift(fixed: np.ndarray, z_free) -> np.ndarray:
+    z = fixed.copy()
+    z[z < 0] = z_free
+    return z
+
+
+class TestPersistency:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 12),
+        integer=st.booleans(),
+        linear_scale=st.sampled_from([0.5, 1.0, 4.0]),
+    )
+    def test_fixed_bits_agree_with_exhaustive_scan(self, seed, m, integer, linear_scale):
+        q = mixed_sign_qubo(seed, m, integer, linear_scale)
+        fixed = fix_persistent(q)
+        assert fixed.dtype == np.int8 and fixed.shape == (m,)
+        assert np.isin(fixed, (-1, 0, 1)).all()
+        best = solve_exhaustive(q)
+        held = fixed >= 0
+        assert np.array_equal(fixed[held], best.z_best[held])
+        if integer:  # exact arithmetic: every minimizer keeps the fixed bits
+            bits = all_bits(m)
+            values = np.array([evaluate(q, z) for z in bits])
+            assert (bits[values == values.min()][:, held] == fixed[held]).all()
+        reduced = solve_exhaustive(restrict(q, fixed))
+        assert np.array_equal(lift(fixed, reduced.z_best), best.z_best)
+
+    def test_restrict_preserves_objective(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(0, 15))
+            q = random_qubo(rng, m)
+            fixed = rng.integers(-1, 2, size=m).astype(np.int8)
+            z_free = rng.integers(0, 2, size=int((fixed < 0).sum()), dtype=np.int8)
+            want = evaluate(q, lift(fixed, z_free))
+            got = evaluate(restrict(q, fixed), z_free)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_signs_decide_separable_bits_and_ties_stay_free(self):
+        q = QuboProblem([1.0, -1.0, 0.0], np.zeros((3, 3)), 2.0)
+        assert fix_persistent(q).tolist() == [0, 1, -1]
+
+    def test_rounds_propagate_through_couplings(self):
+        # round one opens z0 and closes z2; only then is z1's change 1 - 3 < 0
+        coupling = np.array([[0.0, -3.0, 0.0], [-3.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+        q = QuboProblem([-1.0, 1.0, 1.0], coupling)
+        assert fix_persistent(q).tolist() == [1, 1, 0]
+        reduced = restrict(q, fix_persistent(q))
+        assert reduced.m == 0
+        assert reduced.offset == evaluate(q, [1, 1, 0])
+
+    def test_empty_problem(self):
+        q = QuboProblem(np.zeros(0), offset=1.5)
+        assert fix_persistent(q).shape == (0,)
+        assert restrict(q, fix_persistent(q)).offset == 1.5
+
+    @pytest.mark.parametrize("fixed", [[0, 1], [0, 1, 2], [[0, 1, -1]]])
+    def test_restrict_rejects_bad_fixed(self, fixed):
+        with pytest.raises(ValueError, match="fixed"):
+            restrict(QuboProblem(np.zeros(3)), np.array(fixed))

@@ -171,6 +171,13 @@ class TestSolverContract:
         else:
             assert 1 <= res.evaluations <= budget
 
+    @pytest.mark.parametrize("method", SOLVER_NAMES)
+    def test_empty_problem_evaluates_once(self, method):
+        # a fully reduced control step hands every solver zero variables
+        res = solve(QuboProblem([], offset=2.0), method, SolverConfig())
+        assert res.evaluations == 1
+        assert res.trace == [(1, 2.0)]
+
 
 class TestSimulatedAnnealing:
     def test_budget_one_returns_seeded_initial_state(self, rng):
