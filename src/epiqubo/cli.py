@@ -30,22 +30,13 @@ from .controller import (
 from .epinet import (
     EpidemicState,
     ModelKind,
-    PowerIterationError,
     infection_rate_from_r0,
     simulate,
-    validate_network,
 )
-from .qubo import (
-    QuboParseError,
-    build_qubo,
-    export_qubo,
-    import_qubo,
-)
+from .qubo import build_qubo, export_qubo, import_qubo
 from .solvers import SOLVER_NAMES, SolverConfig, solve
 
 __all__ = ["cli_dispatch", "main"]
-
-logger = logging.getLogger(__name__)
 
 
 def _add_network_args(parser: argparse.ArgumentParser, cases: bool = True) -> None:
@@ -209,8 +200,6 @@ def _resolve_scenario(
     else:
         files = dataio.NetworkFiles(paths["edges"], paths["population"], paths.get("cases"))
         net, _, infected, removed = dataio.load_network(files)
-    for warning in validate_network(net).warnings:
-        logger.warning("network: %s", warning)
 
     kind = ModelKind(values["model"])
     mu = _number(values, "mu", float)
@@ -270,8 +259,10 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
     # a scenario needs a gamma and at least one step; the uncontrolled run
-    # reads neither gamma nor, at zero steps, the window
+    # reads neither gamma nor, at zero steps, the window or force
     values = {**_flag_values(args), "gamma": "0.0", "steps": str(max(args.steps, 1))}
+    if args.steps == 0:
+        values["force"] = "false"
     cfg, state0, _ = _resolve_scenario(values, Path())
     if args.steps == 0:
         traj = simulate(cfg.network, cfg.params, state0, None, 0)
@@ -337,6 +328,15 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_batch(args) -> int:
     out_root = Path(args.out)
+    documents: dict[str, str] = {}
+    for scenario_path in args.scenarios:
+        stem = Path(scenario_path).stem
+        if stem in documents:
+            raise ValueError(
+                f"scenario documents {documents[stem]} and {scenario_path} "
+                f"would both write to {out_root / stem}"
+            )
+        documents[stem] = scenario_path
     out_root.mkdir(parents=True, exist_ok=True)
 
     def run_one(scenario_path: str) -> None:
@@ -348,15 +348,16 @@ def _cmd_batch(args) -> int:
     worst = 0
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         futures = [(s, pool.submit(run_one, s)) for s in args.scenarios]
-        # report errors in document order, whatever order the scenarios finish in
+        # report errors in document order, whatever order the scenarios finish
+        # in, each line in one write so that a worker's log record cannot split it
         for name, future in futures:
             try:
                 future.result()
-            except (ValueError, OSError, QuboParseError) as exc:
-                print(f"error in {name}: {exc}", file=sys.stderr)
+            except (ValueError, OSError) as exc:
+                sys.stderr.write(f"error in {name}: {exc}\n")
                 worst = max(worst, 1)
             except Exception as exc:
-                print(f"runtime error in {name}: {exc}", file=sys.stderr)
+                sys.stderr.write(f"runtime error in {name}: {exc}\n")
                 worst = max(worst, 2)
     return worst
 
@@ -371,12 +372,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError, QuboParseError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PowerIterationError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

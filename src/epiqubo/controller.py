@@ -29,7 +29,7 @@ from .epinet import (
     step_sir,
     validate_network,
 )
-from .qubo import ENUM_MAX_BITS, build_qubo, evaluate, fix_persistent, restrict, to_control
+from .qubo import build_qubo, evaluate, fix_persistent, restrict, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, solve
 
 __all__ = [
@@ -51,9 +51,10 @@ BUILDER_NAMES = ("analytic", "numeric")
 class ScenarioConfig:
     """Everything needed to reproduce one controlled run.
 
-    A network that ``validate_network`` reports violations for is refused.
-    ``lam`` above the network's invariance bound is refused outright unless
-    ``force`` is set, in which case states are clamped into [0, n_i] and
+    A network that ``validate_network`` reports violations for is refused;
+    its warnings are logged.  A run with ``lam`` above the network's
+    invariance bound is refused outright unless ``force`` is set, in which
+    case this is logged once here, states are clamped into [0, n_i] and
     every clamp is logged.
     """
 
@@ -72,6 +73,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ModelKind(self.kind))
         report = validate_network(self.network)
+        for warning in report.warnings:
+            logger.warning("network: %s", warning)
         if not report.ok:
             raise ValueError("invalid network: " + "; ".join(report.violations))
         if self.steps < 1:
@@ -82,6 +85,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDER_NAMES}")
+        bound = invariance_bound(self.network)
+        if self.force and self.lam > bound:
+            logger.warning(
+                "infection rate %s exceeds the invariance bound %s; states will be clamped",
+                self.lam,
+                bound,
+            )
 
     @property
     def params(self) -> EpidemicParams:
@@ -137,21 +147,6 @@ class MetricsReport:
         }
 
 
-def _check_rate(cfg: ScenarioConfig) -> None:
-    bound = invariance_bound(cfg.network)
-    if cfg.lam > bound:
-        if not cfg.force:
-            raise ValueError(
-                f"infection rate {cfg.lam} exceeds the invariance bound {bound}; "
-                "states could leave [0, n_i] (pass force=True to clamp instead)"
-            )
-        logger.warning(
-            "infection rate %s exceeds the invariance bound %s; states will be clamped",
-            cfg.lam,
-            bound,
-        )
-
-
 def _advance(
     state: EpidemicState,
     u: np.ndarray,
@@ -177,8 +172,13 @@ def _advance(
 
 def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
     """Apply ``plan(t, state)`` and advance, ``cfg.steps`` times, recording states."""
-    _check_rate(cfg)
     net = cfg.network
+    bound = invariance_bound(net)
+    if cfg.lam > bound and not cfg.force:
+        raise ValueError(
+            f"infection rate {cfg.lam} exceeds the invariance bound {bound}; "
+            "states could leave [0, n_i] (pass force=True to clamp instead)"
+        )
     check_state(state0, net, cfg.kind)
     params = cfg.params
     controls = np.zeros((cfg.steps, net.m), dtype=np.int8)
@@ -207,16 +207,7 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
     lexicographically smallest one.  ``evaluations`` counts the solve of the
     restricted objective, ``wall_times`` the fixing plus the solve, and
     ``objectives`` the full objective at the applied plan.
-
-    An exhaustive run on more locations than the enumeration limit is
-    refused before the first step.
     """
-    if cfg.solver == "exhaustive" and cfg.network.m > ENUM_MAX_BITS:
-        raise ValueError(
-            f"the exhaustive solver enumerates at most {ENUM_MAX_BITS} locations, "
-            f"this network has {cfg.network.m}; choose a heuristic solver "
-            "(sa, tabu or ga)"
-        )
     objectives = np.zeros(cfg.steps)
     wall_times = np.zeros(cfg.steps)
     evaluations = np.zeros(cfg.steps, dtype=np.int64)

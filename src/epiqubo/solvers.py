@@ -141,7 +141,10 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
     """
     m = q.m
     if m > ENUM_MAX_BITS:
-        raise ValueError(f"{m} variables exceed the enumeration limit of {ENUM_MAX_BITS}")
+        raise ValueError(
+            f"{m} variables exceed the enumeration limit of {ENUM_MAX_BITS}; "
+            "choose a heuristic solver (sa, tabu or ga)"
+        )
     start = time.perf_counter()
     low_bits = min(m, ENUM_CHUNK_BITS)
     high_bits = m - low_bits

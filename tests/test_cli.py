@@ -62,6 +62,15 @@ class TestExitCodes:
         assert code == 1
         assert "invariance bound" in capsys.readouterr().err
 
+    def test_forced_rate_logged_once(self, workspace, caplog):
+        with caplog.at_level(logging.WARNING):
+            assert cli_dispatch(
+                ["control", *network_flags(workspace), "--model", "sir", "--lambda", "0.9",
+                 "--mu", "0.1", "--gamma", "1", "--steps", "2", "--force",
+                 "--out", str(workspace["dir"] / "forced")]
+            ) == 0
+        assert caplog.text.count("states will be clamped") == 1
+
     def test_force_flag_clamps_instead_of_refusing(self, workspace, caplog):
         out = workspace["dir"] / "forced"
         with caplog.at_level(logging.WARNING):
@@ -75,7 +84,7 @@ class TestExitCodes:
 
 
 class TestExhaustiveSizeLimit:
-    """The default exhaustive solver cannot serve 30 locations; only `control` solves."""
+    """The default exhaustive solver enumerates only the bits a control step leaves free."""
 
     @pytest.fixture
     def flags30(self, tmp_path):
@@ -87,12 +96,32 @@ class TestExhaustiveSizeLimit:
                 str(netdir / "population.csv"), "--model", "sir", "--lambda", "0.001",
                 "--mu", "0.05"]
 
-    def test_control_refused_before_any_step(self, flags30, tmp_path, capsys):
+    @pytest.mark.parametrize("gamma, cases", [("1e-6", False), ("1e-8", True)])
+    def test_control_serves_30_locations_like_tabu(self, flags30, tmp_path, gamma, cases):
+        if cases:
+            (tmp_path / "cases.csv").write_text(
+                "location,infected,removed\n0,40,0\n1,10,0\n7,25,0\n", encoding="utf-8"
+            )
+            flags30 = [*flags30, "--cases", str(tmp_path / "cases.csv")]
+        reports = []
+        for solver in ("exhaustive", "tabu"):
+            out = tmp_path / solver
+            assert cli_dispatch(
+                ["control", *flags30, "--gamma", gamma, "--solver", solver, "--out", str(out)]
+            ) == 0
+            reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+        exhaustive, tabu = reports
+        assert exhaustive["controls"] == tabu["controls"]
+        assert exhaustive["objectives"] == tabu["objectives"]
+        assert any(map(any, exhaustive["controls"])) == cases
+
+    def test_control_step_beyond_enumeration_limit_exits_two(self, flags30, tmp_path, capsys):
+        # no cases and no isolation cost: every bit is tied, so none is fixed
         out = tmp_path / "run"
-        code = cli_dispatch(["control", *flags30, "--gamma", "1e-6", "--out", str(out)])
-        assert code == 1
+        code = cli_dispatch(["control", *flags30, "--gamma", "0", "--out", str(out)])
+        assert code == 2
         err = capsys.readouterr().err
-        assert "at most 25 locations" in err and "sa, tabu or ga" in err
+        assert "step 0" in err and "enumeration limit of 25" in err and "sa, tabu or ga" in err
         assert not out.exists()
 
     def test_build_qubo_and_simulate_still_run(self, flags30, tmp_path, capsys):
@@ -456,3 +485,44 @@ class TestBatch:
         lines = capsys.readouterr().err.splitlines()
         names = [line.split(":")[0] for line in lines if line.startswith("error in ")]
         assert names == [f"error in {slow}", f"error in {fast}"]
+
+    def test_duplicate_stems_refused_before_any_run(self, tmp_path, capsys):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            scen = tmp_path / sub / "run.scenario"
+            scen.write_text(
+                "model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+                "profile = complete\nm = 3\n",
+                encoding="utf-8",
+            )
+            paths.append(str(scen))
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", *paths, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert paths[0] in err and paths[1] in err
+        assert not out.exists()
+
+    def test_each_error_line_written_whole(self, tmp_path, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def flush(self):
+                pass
+
+        scens = []
+        for name in ("one", "two"):
+            scen = tmp_path / f"{name}.scenario"
+            scen.write_text("model = sis\nwat = 1\n", encoding="utf-8")
+            scens.append(str(scen))
+        stderr = Recorder()
+        monkeypatch.setattr("sys.stderr", stderr)
+        assert cli_dispatch(["batch", *scens, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 1
+        lines = [w for w in stderr.writes if "error in" in w]
+        assert len(lines) == 2
+        assert all(w.startswith("error in ") and w.endswith("\n") for w in lines)
+        assert all(w.count("\n") == 1 for w in lines)

@@ -93,19 +93,34 @@ class TestConfigValidation:
             ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
 
 
-    def test_exhaustive_beyond_enumeration_limit_refused_before_any_build(
-        self, rng, monkeypatch
-    ):
-        import epiqubo.controller as controller
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("a QUBO was built")
-
-        monkeypatch.setattr(controller, "build_qubo", no_build)
-        cfg, state = small_scenario(rng, m=26)  # the config itself is accepted
-        with pytest.raises(ValueError, match="at most 25 locations.*sa, tabu or ga"):
+    def test_exhaustive_step_beyond_enumeration_limit_fails(self, rng):
+        cfg, _ = small_scenario(rng, m=26, gamma=0.0)
+        # disease-free and free to isolate: every bit is tied, so none is fixed
+        state = EpidemicState(np.zeros(cfg.network.m))
+        with pytest.raises(
+            RuntimeError,
+            match=r"step 0: 26 variables exceed the enumeration limit of 25; "
+            r"choose a heuristic solver \(sa, tabu or ga\)",
+        ):
             run_rolling_horizon(cfg, state)
         assert run_uncontrolled_baseline(cfg, state).num_steps == cfg.steps
+
+    def test_network_warnings_logged(self, caplog):
+        net = LocationNetwork([100.0, 100.0], [[0.0, 1.5], [0.2, 0.0]])
+        with caplog.at_level(logging.WARNING):
+            ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
+        assert caplog.messages == ["network: weight > 1 at (0, 1)"]
+
+    def test_forced_rate_logged_once_per_scenario(self, caplog):
+        net = LocationNetwork([100.0, 100.0], [[0.0, 0.9], [0.9, 0.0]])
+        state = EpidemicState([90.0, 90.0])
+        with caplog.at_level(logging.WARNING):
+            hot = ScenarioConfig(
+                network=net, kind=ModelKind.SIS, lam=0.9, mu=0.0, gamma=1e9, steps=2, force=True
+            )
+            run_rolling_horizon(hot, state)
+            run_uncontrolled_baseline(hot, state)
+        assert sum("states will be clamped" in m for m in caplog.messages) == 1
 
 
 class TestRollingHorizon:
