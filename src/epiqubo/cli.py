@@ -34,7 +34,7 @@ from .epinet import (
     simulate,
 )
 from .qubo import build_qubo, export_qubo, import_qubo
-from .solvers import SOLVER_NAMES, SolverConfig, solve
+from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -136,19 +136,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-# scenario keys in the order a resolved scenario lists them; each flag
-# stores its value under the key's name, except for these two
-_SCENARIO_ORDER = (
-    "model", "lambda", "r0", "mu", "gamma", "steps", "solver", "builder", "seed",
-    "force", "edges", "population", "cases", "budget",
-)
+# each flag stores its value under its scenario key's name, except these two
 _FLAG_DEST = {"lambda": "lam", "edges": "network"}
 
 
 def _flag_values(args) -> dict[str, str]:
     """The command's flags as the ``key = value`` mapping of a scenario document."""
     values = {}
-    for key in _SCENARIO_ORDER:
+    for key in dataio.SCENARIO_KEYS:
         value = getattr(args, _FLAG_DEST.get(key, key), None)
         if isinstance(value, bool):
             values[key] = "true" if value else "false"
@@ -186,11 +181,13 @@ def _resolve_scenario(
         if key in values
     }
     if "profile" in values:
-        net = dataio.generate_synthetic(
-            _number(values, "m", int),
-            values["profile"],
-            _number(values, "network_seed", int, "0"),
-        )
+        network_seed = _number(values, "network_seed", int, "0")
+        if network_seed < 0:
+            raise ValueError(
+                "scenario key 'network_seed': expected a nonnegative integer, "
+                f"got {values['network_seed']!r}"
+            )
+        net = dataio.generate_synthetic(_number(values, "m", int), values["profile"], network_seed)
         infected = np.zeros(net.m)
         removed = None
         if "cases" in paths:
@@ -201,7 +198,12 @@ def _resolve_scenario(
         files = dataio.NetworkFiles(paths["edges"], paths["population"], paths.get("cases"))
         net, _, infected, removed = dataio.load_network(files)
 
-    kind = ModelKind(values["model"])
+    try:
+        kind = ModelKind(values["model"])
+    except ValueError:
+        raise ValueError(
+            f"scenario key 'model': expected sis or sir, got {values['model']!r}"
+        ) from None
     mu = _number(values, "mu", float)
     if "lambda" in values:
         lam = _number(values, "lambda", float)
@@ -282,7 +284,7 @@ def _cmd_build_qubo(args) -> int:
 def _cmd_solve(args) -> int:
     text = Path(args.qubo_file).read_text(encoding="utf-8")
     q = import_qubo(text)
-    result = solve(q, args.solver, SolverConfig(seed=args.seed, budget=args.budget))
+    result = _fix_and_solve(q, args.solver, SolverConfig(seed=args.seed, budget=args.budget))
     payload = {
         "solver": args.solver,
         "seed": args.seed,

@@ -12,7 +12,6 @@ reproducible while the solver randomness stays decorrelated across steps.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +28,8 @@ from .epinet import (
     step_sir,
     validate_network,
 )
-from .qubo import build_qubo, evaluate, fix_persistent, restrict, to_control
-from .solvers import SOLVER_NAMES, SolverConfig, solve
+from .qubo import build_qubo, to_control
+from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
 __all__ = [
     "ScenarioConfig",
@@ -79,8 +78,8 @@ class ScenarioConfig:
             raise ValueError("invalid network: " + "; ".join(report.violations))
         if self.steps < 1:
             raise ValueError("total steps must be at least 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
@@ -202,9 +201,8 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
     """Closed-loop run: recompile, minimize, apply one step, repeat.
 
     Each step fixes the persistent bits, solves the objective restricted to
-    the free ones and lifts the result back to every location.  The fixed
-    bits hold in every minimizer, so an exhaustive step still returns the
-    lexicographically smallest one.  ``evaluations`` counts the solve of the
+    the free ones and lifts the result back to every location
+    (``solvers._fix_and_solve``).  ``evaluations`` counts the solve of the
     restricted objective, ``wall_times`` the fixing plus the solve, and
     ``objectives`` the full objective at the applied plan.
     """
@@ -215,17 +213,14 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
     def plan(t: int, state: EpidemicState) -> np.ndarray:
         q = build_qubo(cfg.network, cfg.params, state, cfg.gamma, cfg.builder)
         step_cfg = replace(cfg.solver_config, seed=cfg.seed + t)
-        start = time.perf_counter()
-        z = fix_persistent(q)
         try:
-            result = solve(restrict(q, z), cfg.solver, step_cfg)
+            result = _fix_and_solve(q, cfg.solver, step_cfg)
         except Exception as exc:
             raise RuntimeError(f"solver failed at step {t}: {exc}") from exc
-        wall_times[t] = time.perf_counter() - start
-        z[z < 0] = result.z_best
-        objectives[t] = evaluate(q, z)
+        objectives[t] = result.objective
+        wall_times[t] = result.wall_time
         evaluations[t] = result.evaluations
-        return to_control(z)
+        return to_control(result.z_best)
 
     traj = _run_loop(cfg, state0, plan)
     return ControlLog(traj, objectives, wall_times, evaluations)

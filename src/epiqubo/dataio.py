@@ -205,10 +205,13 @@ def generate_synthetic(m: int, profile: str, seed: int) -> LocationNetwork:
         raise ValueError("m must be at least 1")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    try:
+        weights = np.zeros((m, m))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"m={m} needs a {m}x{m} weight matrix that cannot be allocated") from exc
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lo, hi = GRAVITY_POP_RANGE
     populations = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
-    weights = np.zeros((m, m))
     if m > 1:
         if profile == "ring":
             for i in range(m):
@@ -276,24 +279,14 @@ def write_cases_csv(
 
 # -- scenario documents ---------------------------------------------------------
 
+# every key a scenario document may set, in the order a resolved scenario
+# echoed from command-line flags lists them
+SCENARIO_KEYS = (
+    "model", "lambda", "r0", "mu", "gamma", "steps", "solver", "builder", "seed", "force",
+    "edges", "population", "cases", "profile", "m", "network_seed",
+    *(f.name for f in dataclass_fields(SolverConfig) if f.name != "seed"),
+)
 _SCENARIO_REQUIRED = {"model", "mu", "gamma"}
-_SCENARIO_OPTIONAL = {
-    "lambda",
-    "r0",
-    "steps",
-    "solver",
-    "builder",
-    "seed",
-    "force",
-    "edges",
-    "population",
-    "cases",
-    "profile",
-    "m",
-    "network_seed",
-}
-_SOLVER_KEYS = {f.name for f in dataclass_fields(SolverConfig)} - {"seed"}
-_SCENARIO_KEYS = _SCENARIO_REQUIRED | _SCENARIO_OPTIONAL | _SOLVER_KEYS
 
 
 def parse_scenario_text(text: str) -> dict[str, str]:
@@ -308,7 +301,7 @@ def parse_scenario_text(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCENARIO_KEYS:
+        if key not in SCENARIO_KEYS:
             raise ValueError(f"scenario line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"scenario line {lineno}: duplicate key {key!r}")

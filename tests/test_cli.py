@@ -124,6 +124,24 @@ class TestExhaustiveSizeLimit:
         assert "step 0" in err and "enumeration limit of 25" in err and "sa, tabu or ga" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa", "tabu", "ga"])
+    def test_solve_of_fixed_qubo_matches_control_step(self, flags30, tmp_path, capsys, solver):
+        # every bit of this QUBO is persistent, so each solver evaluates once
+        cases = tmp_path / "cases.csv"
+        cases.write_text("location,infected,removed\n0,500,0\n1,300,0\n", encoding="utf-8")
+        flags = [*flags30, "--cases", str(cases), "--gamma", "1e-6"]
+        qfile = tmp_path / "q.txt"
+        assert cli_dispatch(["build-qubo", *flags, "--out", str(qfile)]) == 0
+        run = tmp_path / "run"
+        assert cli_dispatch(["control", *flags, "--steps", "1", "--out", str(run)]) == 0
+        report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        assert cli_dispatch(["solve", str(qfile), "--solver", solver]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["evaluations"] == 1
+        assert payload["control"] == report["controls"][0]
+        assert payload["objective"] == report["objectives"][0]
+
     def test_build_qubo_and_simulate_still_run(self, flags30, tmp_path, capsys):
         qfile = tmp_path / "q.txt"
         assert cli_dispatch(["build-qubo", *flags30, "--gamma", "1e-6", "--out", str(qfile)]) == 0
@@ -143,6 +161,13 @@ class TestGenerateExport:
         b, _, _, _ = load_network(NetworkFiles(out2 / "edges.csv", out2 / "population.csv"))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.populations, b.populations)
+
+    def test_unservable_size_exits_one(self, tmp_path, capsys):
+        # a 10^7 x 10^7 weight matrix cannot be allocated, so it is refused at once
+        out = tmp_path / "big"
+        assert cli_dispatch(["generate", "--m", "10000000", "--out", str(out)]) == 1
+        assert "m=10000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -425,6 +450,12 @@ class TestBatch:
             ("ts_restarts", "2.5", "scenario key 'ts_restarts': expected an integer, got '2.5'"),
             ("mu", "fast", "scenario key 'mu': expected a number, got 'fast'"),
             ("ts_restarts", "0", "restart count must be positive"),
+            ("model", "SIS", "scenario key 'model': expected sis or sir, got 'SIS'"),
+            ("network_seed", "-1",
+             "scenario key 'network_seed': expected a nonnegative integer, got '-1'"),
+            ("gamma", "nan", "gamma must be finite and nonnegative, got nan"),
+            ("gamma", "inf", "gamma must be finite and nonnegative, got inf"),
+            ("m", "10000000", "m=10000000 needs a 10000000x10000000 weight matrix"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, key, value, message):

@@ -326,6 +326,21 @@ class TestBruteForce:
                 res = solve_exhaustive(q)
                 assert np.array_equal(u_bf, to_control(res.z_best))
 
+    def test_optimum_in_second_block_above_16_locations(self):
+        # infected sites 1..16 export only into site 0, so isolating site 0 alone
+        # is optimal; that control is row 2^16, the first of the second block
+        m = 17
+        weights = np.zeros((m, m))
+        weights[0, 1:] = 0.05
+        net = LocationNetwork(np.full(m, 1000.0), weights)
+        params = EpidemicParams(ModelKind.SIS, 0.2, 0.1)
+        state = EpidemicState(np.r_[0.0, np.full(m - 1, 100.0)])
+        gamma = 1e-3
+        u = solve_bruteforce_problem1(net, params, state, gamma)
+        assert u[0] == 1
+        q = build_qubo_numeric(net, params, state, gamma)
+        assert evaluate(q, from_control(u)) == solve_exhaustive(q).objective
+
     def test_too_many_locations_rejected(self):
         net = LocationNetwork(np.ones(26) * 10.0, np.zeros((26, 26)))
         params = EpidemicParams(ModelKind.SIS, 0.1, 0.1)

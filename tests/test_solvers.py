@@ -202,11 +202,11 @@ class TestSimulatedAnnealing:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(sa_cooling_ratio=1.5).validate()
+            SolverConfig(sa_cooling_ratio=1.5)
         with pytest.raises(ValueError):
-            SolverConfig(budget=0).validate()
+            SolverConfig(budget=0)
         with pytest.raises(ValueError):
-            SolverConfig(sa_initial_temperature=-1.0).validate()
+            SolverConfig(sa_initial_temperature=-1.0)
 
 
 class TestTabu:
