@@ -84,6 +84,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDER_NAMES}")
+        replace(self.solver_config, seed=self.seed)  # step 0's solver config checks the seed
         bound = invariance_bound(self.network)
         if self.force and self.lam > bound:
             logger.warning(

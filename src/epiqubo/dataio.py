@@ -73,7 +73,15 @@ def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | 
             col not in allowed for col in header
         ):
             raise ValueError(f"{path}: expected header {expected}, got {list(header)}")
-        return list(reader), header
+        rows = list(reader)
+    # a short row has its missing fields filled with None
+    for rownum, row in enumerate(rows, start=2):
+        missing = list(row.values()).count(None)
+        if missing:
+            raise ValueError(
+                f"{path}: row {rownum} has {len(header) - missing} fields, expected {len(header)}"
+            )
+    return rows, header
 
 
 def _load_populations(path: str | Path):
@@ -147,7 +155,7 @@ def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarr
         if inf < 0:
             raise ValueError(f"{path}: negative infected count at row {rownum}")
         rem = 0.0
-        if has_removed and row.get("removed") not in (None, ""):
+        if row.get("removed"):
             try:
                 rem = float(row["removed"])
             except ValueError:
@@ -205,6 +213,8 @@ def generate_synthetic(m: int, profile: str, seed: int) -> LocationNetwork:
         raise ValueError("m must be at least 1")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     try:
         weights = np.zeros((m, m))
     except (MemoryError, ValueError) as exc:

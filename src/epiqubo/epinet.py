@@ -388,7 +388,9 @@ def step_arrays(
     ``x`` (and ``y`` for SIR) may be (M,) or (B, M); ``u`` must broadcast
     against them.  Returns the next (x, y) pair without validation.  A
     single state must be passed 1-D: the rows of a (1, M) batch can differ
-    from it in the last bits.
+    from it in the last bits.  A 1-D ``x`` with (B, M) controls ``u`` runs
+    one matrix-vector product shared by every row, so each row equals the
+    single-state update bit for bit; the returned ``y`` is then still 1-D.
     """
     n = net.populations
     # x_next = (1 - mu) x + (lam / n)(n - x [- y]) alpha, built in alpha's
@@ -409,13 +411,16 @@ def batch_infection_cost(
     steps: int,
 ) -> np.ndarray:
     """Infection part of the cost (no gamma term) for a batch of constant
-    controls, one row per control vector."""
-    b = controls.shape[0]
-    x = np.broadcast_to(state0.infected, (b, net.m)).copy()
-    y = None
-    if state0.removed is not None:
-        y = np.broadcast_to(state0.removed, (b, net.m)).copy()
-    total = np.zeros(b)
+    controls, one row per control vector.
+
+    Step 1 is computed once from the 1-D start state: one matrix-vector
+    product serves every row, so a row's step 1 does not depend on the
+    batch and equals ``simulate``'s step 1.  Later steps run one
+    matrix-matrix product per call, whose rows BLAS may round differently
+    for different row counts.
+    """
+    x, y = state0.infected, state0.removed
+    total = np.zeros(controls.shape[0])
     for _ in range(steps):
         x, y = step_arrays(x, y, controls, net, params)
         total += x.sum(axis=1)

@@ -57,12 +57,17 @@ HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
 ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
 ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
-# Probe controls per numeric-builder batch, in rows x M.  From M = 128 the
-# probes span several blocks, and BLAS (seen with OpenBLAS 0.3.31) may round
-# a row of ``X @ W.T`` differently for different row counts of ``X``: the
-# numeric QUBO text can then differ in its last digit from an unblocked
-# build.  For a given M it is still deterministic.
-NUMERIC_BLOCK_ELEMENTS = 1 << 20
+# Probe controls per numeric-builder batch, in rows x M: 218 rows at M = 300,
+# so each (B, M) temporary of the two-step cost stays in cache.  On a 2-vCPU
+# host the M = 300 build took about 0.6 s, against 1.0 s with 1 << 20.
+# Step 1 is shared by every row; step 2 is one ``X @ W.T`` per block, and
+# BLAS (seen with OpenBLAS 0.3.31) may round a row of it differently for
+# different row counts of ``X``.  Measured on the gravity study networks:
+# blocks of 2^16 or 2^14 elements gave the same coefficients as one block,
+# bit for bit, at M = 40, 64, 107, 128, 200 and 300; differences appeared
+# only below roughly 16-64 rows per block.  For a given M the build is
+# deterministic.
+NUMERIC_BLOCK_ELEMENTS = 1 << 16
 # A bit is fixed only when its marginal clears zero by this share of its row's
 # coefficient mass, so roundoff in the sums can never fix a tied bit.
 PERSISTENCY_RTOL = 1e-12

@@ -74,6 +74,8 @@ class SolverConfig:
     ga_elitism: int = 1
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if self.sa_initial_temperature is not None and self.sa_initial_temperature <= 0:

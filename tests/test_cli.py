@@ -557,3 +557,66 @@ class TestBatch:
         assert len(lines) == 2
         assert all(w.startswith("error in ") and w.endswith("\n") for w in lines)
         assert all(w.count("\n") == 1 for w in lines)
+
+
+class TestRefusedBeforeAnyStep:
+    """Inputs no run can serve exit 1 with a message that names them."""
+
+    @pytest.mark.parametrize("solver", ["tabu", "exhaustive"])
+    def test_control_negative_seed(self, workspace, capsys, solver):
+        out = workspace["dir"] / "run"
+        code = cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--lambda", "0.02",
+             "--mu", "0.05", "--gamma", "1e-7", "--solver", solver, "--seed", "-1",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "q.txt"
+        path.write_text("# QUBO M=2 offset=0.0\n0 0 -1.0\n0 1 2.0\n", encoding="utf-8")
+        assert cli_dispatch(["solve", str(path), "--solver", "sa", "--seed", "-1"]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_generate_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "net"
+        assert cli_dispatch(["generate", "--m", "4", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_negative_seed(self, tmp_path, capsys):
+        scen = tmp_path / "neg.scenario"
+        scen.write_text(
+            "model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            "profile = complete\nm = 3\nsolver = tabu\nseed = -1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 1
+        assert f"error in {scen}: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (out / "neg").exists()
+
+    def test_short_edge_row(self, workspace, tmp_path, capsys):
+        edges = tmp_path / "short.csv"
+        edges.write_text("from,to,weight\n0,1\n", encoding="utf-8")
+        flags = ["--network", str(edges), "--population", workspace["population"]]
+        code = cli_dispatch(
+            ["control", *flags, "--model", "sir", "--lambda", "0.02", "--mu", "0.05",
+             "--gamma", "1e-7", "--out", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert f"error: {edges}: row 2 has 2 fields, expected 3" in capsys.readouterr().err
+
+    def test_batch_short_cases_row(self, tmp_path, capsys):
+        (tmp_path / "cases.csv").write_text("location,infected\n0\n", encoding="utf-8")
+        scen = tmp_path / "short.scenario"
+        scen.write_text(
+            "model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            "profile = complete\nm = 3\ncases = cases.csv\n",
+            encoding="utf-8",
+        )
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error in {scen}: " in err and "row 2 has 1 fields, expected 2" in err

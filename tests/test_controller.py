@@ -105,6 +105,12 @@ class TestConfigValidation:
             run_rolling_horizon(cfg, state)
         assert run_uncontrolled_baseline(cfg, state).num_steps == cfg.steps
 
+    @pytest.mark.parametrize("solver", ["exhaustive", "tabu"])
+    def test_negative_seed_refused_for_every_solver(self, rng, solver):
+        # the exhaustive scan ignores the seed, but the run's seeds start there
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            small_scenario(rng, solver=solver, seed=-1)
+
     def test_network_warnings_logged(self, caplog):
         net = LocationNetwork([100.0, 100.0], [[0.0, 1.5], [0.2, 0.0]])
         with caplog.at_level(logging.WARNING):

@@ -108,6 +108,36 @@ class TestLoadNetwork:
             load_network(NetworkFiles(edges, pop))
 
 
+class TestShortRows:
+    """A row with fewer fields than its header is refused, naming the row."""
+
+    @pytest.mark.parametrize("row, count", [("0,1", 2), ("0", 1)])
+    def test_short_edge_row(self, two_loc_files, row, count):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "short.csv", f"from,to,weight\n1,0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=rf"short\.csv: row 3 has {count} fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_short_population_row(self, tmp_path):
+        pop = write(tmp_path / "p.csv", "location,name,population\n0,a,10\n1,b\n")
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        with pytest.raises(ValueError, match=r"p\.csv: row 3 has 2 fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_short_cases_row(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected,removed\n0,10\n")
+        with pytest.raises(ValueError, match=r"cases\.csv: row 2 has 2 fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop, cases))
+
+    def test_empty_removed_field_still_reads_as_zero(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected,removed\n0,10,\n1,3,2\n")
+        _, _, infected, removed = load_network(NetworkFiles(edges, pop, cases))
+        assert np.array_equal(infected, [10.0, 3.0])
+        assert np.array_equal(removed, [0.0, 2.0])
+
+
 class TestRoundTrip:
     def test_emitted_network_reimports_identically(self, rng, tmp_path):
         from conftest import random_network

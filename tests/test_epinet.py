@@ -26,7 +26,7 @@ from epiqubo import (
     validate_network,
 )
 from epiqubo.dataio import generate_synthetic
-from epiqubo.epinet import step_arrays
+from epiqubo.epinet import batch_infection_cost, step_arrays
 from conftest import random_instance, random_network
 
 
@@ -194,6 +194,42 @@ class TestSteps:
             free = step(state, net, params)
             open_all = step(state, net, params, np.zeros(m, dtype=np.int8))
             assert np.array_equal(free.infected, open_all.infected)
+
+
+class TestBatchInfectionCost:
+    """Step 1 of a batch is one matrix-vector product shared by every row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 64),
+        rows=st.integers(1, 40),
+        kind=st.sampled_from([ModelKind.SIS, ModelKind.SIR]),
+    )
+    def test_one_step_rows_do_not_depend_on_the_batch(self, seed, m, rows, kind):
+        rng = np.random.default_rng(seed)
+        net, params, state, _ = random_instance(rng, kind, m)
+        controls = rng.integers(0, 2, size=(rows, m)).astype(np.float64)
+        whole = batch_infection_cost(net, params, state, controls, 1)
+        reversed_rows = batch_infection_cost(net, params, state, controls[::-1], 1)
+        assert whole.tobytes() == reversed_rows[::-1].tobytes()
+        for r in range(rows):
+            alone = batch_infection_cost(net, params, state, controls[r : r + 1], 1)
+            assert alone.tobytes() == whole[r : r + 1].tobytes()
+            u = controls[r].astype(np.int8)
+            assert whole[r] == simulate(net, params, state, u, 1).infected[1].sum()
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_start_state_is_not_written(self, rng, kind):
+        net, params, state, _ = random_instance(rng, kind, 12)
+        arrays = [a for a in (state.infected, state.removed) if a is not None]
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # an in-place write would raise
+        controls = rng.integers(0, 2, size=(5, 12)).astype(np.float64)
+        batch_infection_cost(net, params, state, controls, 3)
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSimulate:

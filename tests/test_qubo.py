@@ -32,7 +32,13 @@ from epiqubo import (
     to_control,
 )
 from epiqubo import qubo as qubo_module
-from epiqubo.epinet import batch_infection_cost
+from epiqubo.dataio import generate_synthetic
+from epiqubo.epinet import (
+    batch_infection_cost,
+    infection_rate_from_r0,
+    invariance_bound,
+    spectral_growth_factor,
+)
 from conftest import all_bits, random_instance, random_qubo
 
 
@@ -173,6 +179,27 @@ class TestNumericBuilder:
         assert blocked.coupling.tobytes() == whole.coupling.tobytes()
         assert blocked.offset == whole.offset
 
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_default_blocks_match_one_block_on_the_m128_study_network(self, kind, monkeypatch):
+        # the gravity study network of criterion 7: rate at 0.9 of the
+        # invariance bound with r0 = 3, five seeded sites, state at t = 10
+        net = generate_synthetic(128, "gravity", 2024)
+        rho = spectral_growth_factor(net, np.zeros(net.m, dtype=np.int8))
+        mu = 0.9 * invariance_bound(net) * rho / 3.0
+        params = EpidemicParams(kind, infection_rate_from_r0(3.0, mu, net), mu)
+        x0 = np.zeros(net.m)
+        x0[:5] = 1e-3 * net.populations[:5]
+        y0 = np.zeros(net.m) if kind is ModelKind.SIR else None
+        state = simulate(net, params, EpidemicState(x0, y0), None, 10).state_at(10)
+        blocked = build_qubo_numeric(net, params, state, 1e-5)
+        rows = 1 + net.m + net.m * (net.m - 1) // 2
+        assert qubo_module.NUMERIC_BLOCK_ELEMENTS // net.m < rows  # several blocks
+        monkeypatch.setattr(qubo_module, "NUMERIC_BLOCK_ELEMENTS", rows * net.m)
+        whole = build_qubo_numeric(net, params, state, 1e-5)
+        assert blocked.linear.tobytes() == whole.linear.tobytes()
+        assert blocked.coupling.tobytes() == whole.coupling.tobytes()
+        assert blocked.offset == whole.offset
+
     def test_identity_sampled_assignments_large_m(self, rng):
         # beyond exhaustive reach the identity is spot-checked on 1000 draws
         for kind in (ModelKind.SIS, ModelKind.SIR):
@@ -253,6 +280,26 @@ class TestAnalyticBuilders:
                     assert coeffs_close(
                         qa.quadratic.get(key, 0.0), qn.quadratic.get(key, 0.0), scale
                     )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        kind=st.sampled_from([ModelKind.SIS, ModelKind.SIR]),
+    )
+    def test_matches_numeric_property(self, seed, m, kind):
+        # random network, rates, state and gamma; the tolerance of
+        # test_matches_numeric_on_random_instances
+        net, params, state, gamma = random_instance(np.random.default_rng(seed), kind, m)
+        builder = build_qubo_sis_analytic if kind is ModelKind.SIS else build_qubo_sir_analytic
+        qa = builder(net, params, state, gamma)
+        qn = build_qubo_numeric(net, params, state, gamma)
+        scale = max(1.0, abs(qn.offset))
+        assert coeffs_close(qa.offset, qn.offset, scale)
+        for a, b in zip(qa.linear, qn.linear):
+            assert coeffs_close(float(a), float(b), scale)
+        for key in set(qa.quadratic) | set(qn.quadratic):
+            assert coeffs_close(qa.quadratic.get(key, 0.0), qn.quadratic.get(key, 0.0), scale)
 
     def test_self_weight_terms_kept(self):
         # A_ii enters through z_i^2 = z_i; dropping it read 27.1578 here

@@ -171,6 +171,10 @@ class TestSolverContract:
         else:
             assert 1 <= res.evaluations <= budget
 
+    def test_negative_seed_refused_naming_it(self):
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            SolverConfig(seed=-1)
+
     @pytest.mark.parametrize("method", SOLVER_NAMES)
     def test_empty_problem_evaluates_once(self, method):
         # a fully reduced control step hands every solver zero variables
