@@ -7,7 +7,9 @@ CSV schemas (UTF-8, header row required):
 
 Location references in edge and case rows may use either the ``location``
 identifier or the ``name`` from the population file; row order in the
-population file defines the 0-based index space.
+population file defines the 0-based index space.  Blank lines are skipped;
+rows are numbered with the header as row 1, not counting blank lines.  A
+row with fewer or more fields than its header is refused.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -60,42 +62,43 @@ class NetworkFiles:
     cases: str | Path | None = None
 
 
-def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | None = None):
+def _read_csv_rows(
+    path: str | Path, expected: list[str], optional: list[str] | None = None
+) -> dict[str, list[str]]:
+    """Read a CSV into ``{column: [field, ...]}`` after checking its header;
+    blank lines, row numbers and field counts as the module docstring says."""
     optional = optional or []
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected header {expected}")
         allowed = expected + optional
-        if list(header[: len(expected)]) != expected or any(
-            col not in allowed for col in header
-        ):
-            raise ValueError(f"{path}: expected header {expected}, got {list(header)}")
-        rows = list(reader)
-    # a short row has its missing fields filled with None
-    for rownum, row in enumerate(rows, start=2):
-        missing = list(row.values()).count(None)
-        if missing:
-            raise ValueError(
-                f"{path}: row {rownum} has {len(header) - missing} fields, expected {len(header)}"
-            )
-    return rows, header
+        if header[: len(expected)] != expected or any(col not in allowed for col in header):
+            raise ValueError(f"{path}: expected header {expected}, got {header}")
+        rows = [row for row in reader if row]
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        rownum, row = next((n, row) for n, row in enumerate(rows, start=2) if len(row) != width)
+        raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
 
 
 def _load_populations(path: str | Path):
-    rows, _ = _read_csv_rows(path, ["location", "name", "population"])
+    cols = _read_csv_rows(path, ["location", "name", "population"])
     populations: list[float] = []
     names: list[str] = []
     resolver: dict[str, int] = {}
-    for idx, row in enumerate(rows):
-        loc = row["location"].strip()
-        name = row["name"].strip()
+    for idx, (raw_loc, raw_name, raw_pop) in enumerate(
+        zip(cols["location"], cols["name"], cols["population"])
+    ):
+        loc = raw_loc.strip()
+        name = raw_name.strip()
         try:
-            pop = float(row["population"])
+            pop = float(raw_pop)
         except ValueError:
-            raise ValueError(f"{path}: bad population {row['population']!r} for {loc!r}")
+            raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
         if pop <= 0:
             raise ValueError(f"{path}: population must be positive at location {loc!r}")
         for key in {loc, name}:
@@ -116,50 +119,82 @@ def _resolve(ref: str, resolver: dict[str, int], path, rownum: int) -> int:
     return resolver[key]
 
 
+def _floats(column: list[str]) -> tuple[np.ndarray, int]:
+    """Parse a column with ``float``. Returns the values and the index of the
+    first field that does not parse (``len(column)`` when all do); the
+    values from that index on read 0."""
+    values = np.zeros(len(column))
+    try:
+        values[:] = list(map(float, column))
+        return values, len(column)
+    except ValueError:
+        for k, raw in enumerate(column):
+            try:
+                values[k] = float(raw)
+            except ValueError:
+                return values, k
+        raise
+
+
 def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarray:
-    rows, _ = _read_csv_rows(path, ["from", "to", "weight"])
+    cols = _read_csv_rows(path, ["from", "to", "weight"])
+    src, dst, raw = cols["from"], cols["to"], cols["weight"]
+    i = np.array([resolver.get(s.strip(), -1) for s in src], dtype=np.intp)
+    j = np.array([resolver.get(s.strip(), -1) for s in dst], dtype=np.intp)
+    w, bad = _floats(raw)
+    unknown = (i < 0) | (j < 0)
+    # a row repeats a pair when an earlier row resolved to the same (i, j);
+    # unknown rows share one spare key, since they fail before this check
+    key = np.where(unknown, m * m, i * m + j)
+    repeat = np.zeros(len(key), dtype=bool)
+    if len(key) and np.bincount(key).max() > 1:
+        repeat[:] = True
+        repeat[np.unique(key, return_index=True)[1]] = False
+    failed = unknown | (i == j) | repeat | (w < 0)
+    first = min(int(np.argmax(failed)) if failed.any() else len(key), bad)
+    if first < len(key):
+        # the first failing row in file order, with its first failing check
+        k, rownum = first, first + 2
+        for ref in (src[k], dst[k]):
+            _resolve(ref, resolver, path, rownum)
+        if i[k] == j[k]:
+            raise ValueError(f"{path}: self-loop edge at location {src[k]!r} (row {rownum})")
+        if repeat[k]:
+            raise ValueError(f"{path}: duplicate edge {src[k]!r}->{dst[k]!r} (row {rownum})")
+        if k == bad:
+            raise ValueError(f"{path}: bad weight {raw[k]!r} (row {rownum})")
+        raise ValueError(f"{path}: negative weight at row {rownum}")
     weights = np.zeros((m, m))
-    seen: set[tuple[int, int]] = set()
-    for rownum, row in enumerate(rows, start=2):
-        i = _resolve(row["from"], resolver, path, rownum)
-        j = _resolve(row["to"], resolver, path, rownum)
-        if i == j:
-            raise ValueError(f"{path}: self-loop edge at location {row['from']!r} (row {rownum})")
-        if (i, j) in seen:
-            raise ValueError(f"{path}: duplicate edge {row['from']!r}->{row['to']!r} (row {rownum})")
-        seen.add((i, j))
-        try:
-            w = float(row["weight"])
-        except ValueError:
-            raise ValueError(f"{path}: bad weight {row['weight']!r} (row {rownum})")
-        if w < 0:
-            raise ValueError(f"{path}: negative weight at row {rownum}")
-        weights[i, j] = w
+    weights[i, j] = w
     return weights
 
 
 def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarray):
     """Read a cases CSV into ``(infected, removed)`` arrays indexed through
     ``resolver``; ``removed`` is None when the file has no removed column."""
-    rows, header = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
-    has_removed = "removed" in header
+    cols = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
+    has_removed = "removed" in cols
     m = len(populations)
     infected = np.zeros(m)
     removed = np.zeros(m) if has_removed else None
-    for rownum, row in enumerate(rows, start=2):
-        idx = _resolve(row["location"], resolver, path, rownum)
+    locs = cols["location"]
+    rems = cols["removed"] if has_removed else [""] * len(locs)
+    for rownum, (raw_loc, raw_inf, raw_rem) in enumerate(
+        zip(locs, cols["infected"], rems), start=2
+    ):
+        idx = _resolve(raw_loc, resolver, path, rownum)
         try:
-            inf = float(row["infected"])
+            inf = float(raw_inf)
         except ValueError:
-            raise ValueError(f"{path}: bad infected count {row['infected']!r} (row {rownum})")
+            raise ValueError(f"{path}: bad infected count {raw_inf!r} (row {rownum})")
         if inf < 0:
             raise ValueError(f"{path}: negative infected count at row {rownum}")
         rem = 0.0
-        if row.get("removed"):
+        if raw_rem:
             try:
-                rem = float(row["removed"])
+                rem = float(raw_rem)
             except ValueError:
-                raise ValueError(f"{path}: bad removed count {row['removed']!r} (row {rownum})")
+                raise ValueError(f"{path}: bad removed count {raw_rem!r} (row {rownum})")
             if rem < 0:
                 raise ValueError(f"{path}: negative removed count at row {rownum}")
         if inf + rem > populations[idx]:

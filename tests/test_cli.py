@@ -162,6 +162,18 @@ class TestGenerateExport:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.populations, b.populations)
 
+    def test_export_refuses_row_with_extra_field(self, workspace, tmp_path, capsys):
+        edges = tmp_path / "long.csv"
+        edges.write_text("from,to,weight\n0,1,0.5,9\n", encoding="utf-8")
+        out = tmp_path / "reexport"
+        code = cli_dispatch(
+            ["export-network", "--network", str(edges), "--population",
+             workspace["population"], "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: {edges}: row 2 has 4 fields, expected 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unservable_size_exits_one(self, tmp_path, capsys):
         # a 10^7 x 10^7 weight matrix cannot be allocated, so it is refused at once
         out = tmp_path / "big"

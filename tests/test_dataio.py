@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiqubo import LocationNetwork, ModelKind
 from epiqubo.dataio import (
@@ -136,6 +142,178 @@ class TestShortRows:
         _, _, infected, removed = load_network(NetworkFiles(edges, pop, cases))
         assert np.array_equal(infected, [10.0, 3.0])
         assert np.array_equal(removed, [0.0, 2.0])
+
+
+class TestLongRows:
+    """A row with more fields than its header is refused, naming the row."""
+
+    def test_long_edge_row(self, two_loc_files):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "long.csv", "from,to,weight\n1,0,0.5\n0,1,0.5,9\n")
+        with pytest.raises(ValueError, match=r"long\.csv: row 3 has 4 fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_long_population_row(self, tmp_path):
+        pop = write(tmp_path / "p.csv", "location,name,population\n0,a,10,x\n1,b,5\n")
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        with pytest.raises(ValueError, match=r"p\.csv: row 2 has 4 fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_long_cases_row(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected\n0,10\n1,3,2\n")
+        with pytest.raises(ValueError, match=r"cases\.csv: row 3 has 3 fields, expected 2$"):
+            load_network(NetworkFiles(edges, pop, cases))
+
+
+class TestRowNumbers:
+    """Rows are numbered from the header as row 1; blank lines are skipped
+    and not counted."""
+
+    def test_blank_lines_skipped_and_not_counted(self, two_loc_files):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", "from,to,weight\n\n0,1,0.5\n\n\n1,0,-1\n")
+        with pytest.raises(ValueError, match=r"negative weight at row 3$"):
+            load_network(NetworkFiles(edges, pop))
+        good = write(tmp / "g.csv", "from,to,weight\n\n0,1,0.5\n\n1,0,0.25\n\n")
+        net, _, _, _ = load_network(NetworkFiles(good, pop))
+        assert np.array_equal(net.weights, [[0.0, 0.5], [0.25, 0.0]])
+
+    @pytest.mark.parametrize(
+        "early, late, message",
+        [
+            ("0,1,-0.5", "9,1,0.5", "negative weight at row 3"),
+            ("0,1,x", "1,1,0.5", "bad weight 'x' (row 3)"),
+            ("0,0,0.5", "7,7,x", "self-loop edge at location '0' (row 3)"),
+            ("beta,0,0.5", "0,9,0.5", "duplicate edge 'beta'->'0' (row 3)"),
+            ("0,9,0.5", "0,0,0.5", "unknown location reference '9' (row 3)"),
+        ],
+    )
+    def test_error_names_the_earlier_of_two_faulty_rows(self, two_loc_files, early, late, message):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", f"from,to,weight\n1,0,0.5\n{early}\n0,1,0.5\n{late}\n")
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop))
+        assert str(info.value) == f"{edges}: {message}"
+
+
+def _reference_edges(path, resolver, m):
+    """The per-row ``csv.DictReader`` edge loader that the columnar one
+    replaced, kept to pin its weights and messages; it does not refuse
+    rows with extra fields."""
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if list(header[:3]) != ["from", "to", "weight"] or any(
+            col not in ["from", "to", "weight"] for col in header
+        ):
+            raise ValueError(f"{path}: expected header {['from', 'to', 'weight']}, got {list(header)}")
+        rows = list(reader)
+    for rownum, row in enumerate(rows, start=2):
+        missing = list(row.values()).count(None)
+        if missing:
+            raise ValueError(
+                f"{path}: row {rownum} has {len(header) - missing} fields, expected {len(header)}"
+            )
+
+    def resolve(ref, rownum):
+        key = ref.strip()
+        if key not in resolver:
+            raise ValueError(f"{path}: unknown location reference {key!r} (row {rownum})")
+        return resolver[key]
+
+    weights = np.zeros((m, m))
+    seen = set()
+    for rownum, row in enumerate(rows, start=2):
+        i = resolve(row["from"], rownum)
+        j = resolve(row["to"], rownum)
+        if i == j:
+            raise ValueError(f"{path}: self-loop edge at location {row['from']!r} (row {rownum})")
+        if (i, j) in seen:
+            raise ValueError(f"{path}: duplicate edge {row['from']!r}->{row['to']!r} (row {rownum})")
+        seen.add((i, j))
+        try:
+            w = float(row["weight"])
+        except ValueError:
+            raise ValueError(f"{path}: bad weight {row['weight']!r} (row {rownum})")
+        if w < 0:
+            raise ValueError(f"{path}: negative weight at row {rownum}")
+        weights[i, j] = w
+    return weights
+
+
+FAULTS = ("unknown", "self-loop", "duplicate", "x", "-0.5", "nan", "inf", "short")
+
+
+@st.composite
+def edge_files(draw):
+    """An edge file over M = 1-12 locations as ``(m, lines)``: references by
+    id or name, padded with whitespace, some fields quoted, blank lines, and
+    up to two injected faults."""
+    m = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+
+    def field(text):
+        pad = draw(st.sampled_from(["", " ", " \t"]))
+        text = pad + text + pad[::-1]
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    def ref(k):
+        return str(k) if draw(st.booleans()) else f"loc{k}"
+
+    rows = [
+        [ref(i), ref(j), repr(draw(st.floats(0.0, 10.0)))] for i, j in chosen
+    ]
+    for kind in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        pos = draw(st.integers(0, len(rows)))
+        i = draw(st.integers(0, m - 1))
+        row = [ref(i), ref((i + 1) % m), "0.5"]
+        if kind == "unknown":
+            for k in draw(st.sampled_from([[0], [1], [0, 1]])):
+                row[k] = "nowhere"
+        elif kind == "self-loop":
+            row[1] = ref(i)
+        elif kind == "duplicate" and chosen:
+            # a drawn pair once more, often through its other alias
+            row[:2] = map(ref, draw(st.sampled_from(chosen)))
+        elif kind == "short":
+            row = row[: draw(st.integers(1, 2))]
+        elif kind != "duplicate":
+            row[2] = kind
+        rows.insert(pos, row)
+    lines = [",".join(field(text) for text in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return m, lines
+
+
+def _outcome(load):
+    try:
+        return "weights", load().tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestColumnarLoaderMatchesReference:
+    @given(edge_files())
+    @settings(max_examples=300, deadline=None)
+    def test_same_weights_or_same_message(self, case):
+        m, lines = case
+        populations = [10.0 + k for k in range(m)]
+        resolver = {**{str(k): k for k in range(m)}, **{f"loc{k}": k for k in range(m)}}
+        with tempfile.TemporaryDirectory() as tmp:
+            pop = write(
+                Path(tmp) / "population.csv",
+                "location,name,population\n"
+                + "".join(f"{k},loc{k},{n!r}\n" for k, n in enumerate(populations)),
+            )
+            edges = write(Path(tmp) / "edges.csv", "from,to,weight\n" + "\n".join(lines) + "\n")
+            new = _outcome(lambda: load_network(NetworkFiles(edges, pop))[0].weights)
+            old = _outcome(
+                lambda: LocationNetwork(populations, _reference_edges(edges, resolver, m)).weights
+            )
+        assert new == old
 
 
 class TestRoundTrip:
