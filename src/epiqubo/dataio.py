@@ -7,9 +7,13 @@ CSV schemas (UTF-8, header row required):
 
 Location references in edge and case rows may use either the ``location``
 identifier or the ``name`` from the population file; row order in the
-population file defines the 0-based index space.  Blank lines are skipped;
-rows are numbered with the header as row 1, not counting blank lines.  A
-row with fewer or more fields than its header is refused.
+population file defines the 0-based index space.  A header that repeats a
+column is refused.  Blank lines are skipped; rows are numbered with the
+header as row 1, not counting blank lines.  A row with fewer or more fields
+than its header is refused, and that refusal wins over a bad value anywhere
+in the file.  Files are read ``_CSV_CHUNK_ROWS`` rows at a time and only
+arrays are kept between chunks, so memory follows the M x M weight matrix,
+not the size of the file.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -20,7 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +57,11 @@ GRAVITY_POP_RANGE = (5e4, 5e6)
 GRAVITY_MAX_WEIGHT = 0.5
 RING_WEIGHT = 0.25
 COMPLETE_WEIGHT = 0.1
+# Non-blank CSV rows held at a time while a file is read.  On the M = 300
+# gravity study edges (90,000 rows, 2-vCPU host), chunks of 2^8 to 2^14 rows
+# loaded in the same time within noise, while the peak traced allocation of
+# ``load_network`` grew from 1.1 MB (2^8) and 1.5 MB (2^10) to 10.8 MB (2^14).
+_CSV_CHUNK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -62,11 +73,14 @@ class NetworkFiles:
     cases: str | Path | None = None
 
 
-def _read_csv_rows(
-    path: str | Path, expected: list[str], optional: list[str] | None = None
-) -> dict[str, list[str]]:
-    """Read a CSV into ``{column: [field, ...]}`` after checking its header;
-    blank lines, row numbers and field counts as the module docstring says."""
+def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | None = None):
+    """Yield ``(first_row_number, {column: (field, ...)})`` for up to
+    ``_CSV_CHUNK_ROWS`` non-blank rows at a time, after checking the header:
+    the expected columns first, then optional ones, none repeated.  Blank
+    lines, row numbers and field counts as the module docstring says; a row
+    with the wrong field count raises when its chunk is read.  The last
+    chunk holds fewer rows than a full one, so a file without rows yields
+    one empty chunk that still names the header's columns."""
     optional = optional or []
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -75,38 +89,62 @@ def _read_csv_rows(
         if header is None:
             raise ValueError(f"{path}: empty file, expected header {expected}")
         allowed = expected + optional
-        if header[: len(expected)] != expected or any(col not in allowed for col in header):
+        if (
+            header[: len(expected)] != expected
+            or any(col not in allowed for col in header)
+            or len(set(header)) != len(header)
+        ):
             raise ValueError(f"{path}: expected header {expected}, got {header}")
-        rows = [row for row in reader if row]
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        rownum, row = next((n, row) for n, row in enumerate(rows, start=2) if len(row) != width)
-        raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
-    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        width = len(header)
+        rows = filter(None, reader)
+        rownum = 2
+        while True:
+            chunk = list(islice(rows, _CSV_CHUNK_ROWS))
+            if set(map(len, chunk)) - {width}:
+                k, row = next((k, row) for k, row in enumerate(chunk) if len(row) != width)
+                raise ValueError(f"{path}: row {rownum + k} has {len(row)} fields, expected {width}")
+            yield rownum, dict(zip(header, zip(*chunk))) if chunk else dict.fromkeys(header, ())
+            if len(chunk) < _CSV_CHUNK_ROWS:
+                return
+            rownum += len(chunk)
+
+
+@contextmanager
+def _field_counts_first(chunks):
+    """Hold a content error raised while ``chunks`` are consumed until the
+    rest of the file has been read, so that a row with the wrong field
+    count anywhere in the file is reported before it."""
+    try:
+        yield
+    except ValueError:
+        for _ in chunks:
+            pass
+        raise
 
 
 def _load_populations(path: str | Path):
-    cols = _read_csv_rows(path, ["location", "name", "population"])
     populations: list[float] = []
     names: list[str] = []
     resolver: dict[str, int] = {}
-    for idx, (raw_loc, raw_name, raw_pop) in enumerate(
-        zip(cols["location"], cols["name"], cols["population"])
-    ):
-        loc = raw_loc.strip()
-        name = raw_name.strip()
-        try:
-            pop = float(raw_pop)
-        except ValueError:
-            raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
-        if pop <= 0:
-            raise ValueError(f"{path}: population must be positive at location {loc!r}")
-        for key in {loc, name}:
-            if key in resolver and resolver[key] != idx:
-                raise ValueError(f"{path}: duplicate location reference {key!r}")
-            resolver[key] = idx
-        populations.append(pop)
-        names.append(name)
+    chunks = _read_csv_rows(path, ["location", "name", "population"])
+    with _field_counts_first(chunks):
+        for _, cols in chunks:
+            for raw_loc, raw_name, raw_pop in zip(cols["location"], cols["name"], cols["population"]):
+                idx = len(populations)
+                loc = raw_loc.strip()
+                name = raw_name.strip()
+                try:
+                    pop = float(raw_pop)
+                except ValueError:
+                    raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
+                if pop <= 0:
+                    raise ValueError(f"{path}: population must be positive at location {loc!r}")
+                for key in {loc, name}:
+                    if key in resolver and resolver[key] != idx:
+                        raise ValueError(f"{path}: duplicate location reference {key!r}")
+                    resolver[key] = idx
+                populations.append(pop)
+                names.append(name)
     if not populations:
         raise ValueError(f"{path}: no locations defined")
     return np.asarray(populations), names, resolver
@@ -119,7 +157,7 @@ def _resolve(ref: str, resolver: dict[str, int], path, rownum: int) -> int:
     return resolver[key]
 
 
-def _floats(column: list[str]) -> tuple[np.ndarray, int]:
+def _floats(column) -> tuple[np.ndarray, int]:
     """Parse a column with ``float``. Returns the values and the index of the
     first field that does not parse (``len(column)`` when all do); the
     values from that index on read 0."""
@@ -137,71 +175,79 @@ def _floats(column: list[str]) -> tuple[np.ndarray, int]:
 
 
 def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarray:
-    cols = _read_csv_rows(path, ["from", "to", "weight"])
-    src, dst, raw = cols["from"], cols["to"], cols["weight"]
-    i = np.array([resolver.get(s.strip(), -1) for s in src], dtype=np.intp)
-    j = np.array([resolver.get(s.strip(), -1) for s in dst], dtype=np.intp)
-    w, bad = _floats(raw)
-    unknown = (i < 0) | (j < 0)
-    # a row repeats a pair when an earlier row resolved to the same (i, j);
-    # unknown rows share one spare key, since they fail before this check
-    key = np.where(unknown, m * m, i * m + j)
-    repeat = np.zeros(len(key), dtype=bool)
-    if len(key) and np.bincount(key).max() > 1:
-        repeat[:] = True
-        repeat[np.unique(key, return_index=True)[1]] = False
-    failed = unknown | (i == j) | repeat | (w < 0)
-    first = min(int(np.argmax(failed)) if failed.any() else len(key), bad)
-    if first < len(key):
-        # the first failing row in file order, with its first failing check
-        k, rownum = first, first + 2
-        for ref in (src[k], dst[k]):
-            _resolve(ref, resolver, path, rownum)
-        if i[k] == j[k]:
-            raise ValueError(f"{path}: self-loop edge at location {src[k]!r} (row {rownum})")
-        if repeat[k]:
-            raise ValueError(f"{path}: duplicate edge {src[k]!r}->{dst[k]!r} (row {rownum})")
-        if k == bad:
-            raise ValueError(f"{path}: bad weight {raw[k]!r} (row {rownum})")
-        raise ValueError(f"{path}: negative weight at row {rownum}")
     weights = np.zeros((m, m))
-    weights[i, j] = w
+    # pairs i * m + j loaded so far; the spare last key stands for an unknown
+    # reference and is never set, since such a row fails before this check
+    seen = np.zeros(m * m + 1, dtype=bool)
+    chunks = _read_csv_rows(path, ["from", "to", "weight"])
+    with _field_counts_first(chunks):
+        for first_row, cols in chunks:
+            src, dst, raw = cols["from"], cols["to"], cols["weight"]
+            i = np.array([resolver.get(s.strip(), -1) for s in src], dtype=np.intp)
+            j = np.array([resolver.get(s.strip(), -1) for s in dst], dtype=np.intp)
+            w, bad = _floats(raw)
+            unknown = (i < 0) | (j < 0)
+            key = np.where(unknown, m * m, i * m + j)
+            # a row repeats a pair loaded from an earlier chunk or resolved
+            # by an earlier row of this one
+            first_copy = np.zeros(len(key), dtype=bool)
+            first_copy[np.unique(key, return_index=True)[1]] = True
+            repeat = seen[key] | ~first_copy
+            failed = unknown | (i == j) | repeat | (w < 0)
+            first = min(int(np.argmax(failed)) if failed.any() else len(key), bad)
+            if first < len(key):
+                # the first failing row in file order, with its first failing check
+                k, rownum = first, first_row + first
+                for ref in (src[k], dst[k]):
+                    _resolve(ref, resolver, path, rownum)
+                if i[k] == j[k]:
+                    raise ValueError(f"{path}: self-loop edge at location {src[k]!r} (row {rownum})")
+                if repeat[k]:
+                    raise ValueError(f"{path}: duplicate edge {src[k]!r}->{dst[k]!r} (row {rownum})")
+                if k == bad:
+                    raise ValueError(f"{path}: bad weight {raw[k]!r} (row {rownum})")
+                raise ValueError(f"{path}: negative weight at row {rownum}")
+            seen[key] = True
+            weights[i, j] = w
     return weights
 
 
 def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarray):
     """Read a cases CSV into ``(infected, removed)`` arrays indexed through
     ``resolver``; ``removed`` is None when the file has no removed column."""
-    cols = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
-    has_removed = "removed" in cols
     m = len(populations)
     infected = np.zeros(m)
-    removed = np.zeros(m) if has_removed else None
-    locs = cols["location"]
-    rems = cols["removed"] if has_removed else [""] * len(locs)
-    for rownum, (raw_loc, raw_inf, raw_rem) in enumerate(
-        zip(locs, cols["infected"], rems), start=2
-    ):
-        idx = _resolve(raw_loc, resolver, path, rownum)
-        try:
-            inf = float(raw_inf)
-        except ValueError:
-            raise ValueError(f"{path}: bad infected count {raw_inf!r} (row {rownum})")
-        if inf < 0:
-            raise ValueError(f"{path}: negative infected count at row {rownum}")
-        rem = 0.0
-        if raw_rem:
-            try:
-                rem = float(raw_rem)
-            except ValueError:
-                raise ValueError(f"{path}: bad removed count {raw_rem!r} (row {rownum})")
-            if rem < 0:
-                raise ValueError(f"{path}: negative removed count at row {rownum}")
-        if inf + rem > populations[idx]:
-            raise ValueError(f"cases exceed population at location {idx}")
-        infected[idx] = inf
-        if removed is not None:
-            removed[idx] = rem
+    removed = None
+    chunks = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
+    with _field_counts_first(chunks):
+        for first_row, cols in chunks:
+            locs = cols["location"]
+            if "removed" in cols and removed is None:
+                removed = np.zeros(m)
+            rems = cols.get("removed", [""] * len(locs))
+            for rownum, (raw_loc, raw_inf, raw_rem) in enumerate(
+                zip(locs, cols["infected"], rems), start=first_row
+            ):
+                idx = _resolve(raw_loc, resolver, path, rownum)
+                try:
+                    inf = float(raw_inf)
+                except ValueError:
+                    raise ValueError(f"{path}: bad infected count {raw_inf!r} (row {rownum})")
+                if inf < 0:
+                    raise ValueError(f"{path}: negative infected count at row {rownum}")
+                rem = 0.0
+                if raw_rem:
+                    try:
+                        rem = float(raw_rem)
+                    except ValueError:
+                        raise ValueError(f"{path}: bad removed count {raw_rem!r} (row {rownum})")
+                    if rem < 0:
+                        raise ValueError(f"{path}: negative removed count at row {rownum}")
+                if inf + rem > populations[idx]:
+                    raise ValueError(f"cases exceed population at location {idx}")
+                infected[idx] = inf
+                if removed is not None:
+                    removed[idx] = rem
     return infected, removed
 
 

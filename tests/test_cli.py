@@ -174,6 +174,21 @@ class TestGenerateExport:
         assert f"error: {edges}: row 2 has 4 fields, expected 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_export_refuses_a_repeated_header_column(self, workspace, tmp_path, capsys):
+        edges = tmp_path / "twice.csv"
+        edges.write_text("from,to,weight,weight\n0,1,0.5,0.7\n", encoding="utf-8")
+        out = tmp_path / "reexport"
+        code = cli_dispatch(
+            ["export-network", "--network", str(edges), "--population",
+             workspace["population"], "--out", str(out)]
+        )
+        assert code == 1
+        assert (
+            f"error: {edges}: expected header ['from', 'to', 'weight'], "
+            "got ['from', 'to', 'weight', 'weight']"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unservable_size_exits_one(self, tmp_path, capsys):
         # a 10^7 x 10^7 weight matrix cannot be allocated, so it is refused at once
         out = tmp_path / "big"
@@ -244,6 +259,20 @@ class TestBuildSolvePipeline:
         bad.write_text("# QUBO M=2 offset=0.0\n0 x 1.0\n", encoding="utf-8")
         assert cli_dispatch(["solve", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, body, message",
+        [
+            ("offset=0.0", "0 1 nan", "line 2: coefficient must be finite, got '0 1 nan'"),
+            ("offset=0.0", "0 0 1e400", "line 2: coefficient must be finite, got '0 0 1e400'"),
+            ("offset=inf", "0 1 1.0", "line 1: offset must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys, header, body, message):
+        qfile = tmp_path / "nonfinite.qubo"
+        qfile.write_text(f"# QUBO M=2 {header}\n{body}\n", encoding="utf-8")
+        assert cli_dispatch(["solve", str(qfile)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unservable_size_exits_one(self, tmp_path, capsys):
         # a 10^7 x 10^7 coupling matrix cannot be allocated, so it is refused at once

@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqubo import LocationNetwork, ModelKind
+from epiqubo import LocationNetwork, ModelKind, dataio
 from epiqubo.dataio import (
     NetworkFiles,
     generate_synthetic,
@@ -166,6 +167,72 @@ class TestLongRows:
             load_network(NetworkFiles(edges, pop, cases))
 
 
+class TestRepeatedHeaderColumn:
+    """A header that names a column twice is refused like any other bad header."""
+
+    def test_edges(self, two_loc_files):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", "from,to,weight,weight\n0,1,0.5,0.7\n")
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop))
+        assert str(info.value) == (
+            f"{edges}: expected header ['from', 'to', 'weight'], "
+            "got ['from', 'to', 'weight', 'weight']"
+        )
+
+    def test_population(self, tmp_path):
+        pop = write(tmp_path / "p.csv", "location,name,population,name\n0,a,10,b\n")
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        with pytest.raises(ValueError, match=r"expected header \['location', 'name', 'population'\], got"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_cases(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected,removed,removed\n0,10,0,5\n")
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop, cases))
+        assert str(info.value) == (
+            f"{cases}: expected header ['location', 'infected'], "
+            "got ['location', 'infected', 'removed', 'removed']"
+        )
+
+
+class TestChunkedReads:
+    """Files are read a few rows at a time.  With 2-row chunks, a fault and
+    the rows it must be compared with fall in different chunks, and a file
+    can end exactly at a chunk's end."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_CSV_CHUNK_ROWS", 2)
+
+    def test_short_population_row_in_a_later_chunk_wins_over_a_bad_value(self, tmp_path):
+        pop = write(tmp_path / "p.csv", "location,name,population\n0,a,10\n1,b,x\n2,c,5\n3,d\n")
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        with pytest.raises(ValueError, match=r"p\.csv: row 5 has 2 fields, expected 3$"):
+            load_network(NetworkFiles(edges, pop))
+
+    def test_short_cases_row_in_a_later_chunk_wins_over_a_bad_value(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected\n0,x\n1,3\n0,1\n\n1\n")
+        with pytest.raises(ValueError, match=r"cases\.csv: row 5 has 1 fields, expected 2$"):
+            load_network(NetworkFiles(edges, pop, cases))
+
+    def test_cases_faults_name_their_row_across_chunks(self, two_loc_files):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected\n0,1\n1,3\n\n0,2\n1,-1\n")
+        with pytest.raises(ValueError, match=r"negative infected count at row 5$"):
+            load_network(NetworkFiles(edges, pop, cases))
+
+    def test_rows_that_fill_whole_chunks(self, two_loc_files):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", "from,to,weight\n0,1,0.5\n1,0,0.25\n")
+        cases = write(tmp / "cases.csv", "location,infected,removed\n")
+        net, _, infected, removed = load_network(NetworkFiles(edges, pop, cases))
+        assert np.array_equal(net.weights, [[0.0, 0.5], [0.25, 0.0]])
+        assert np.array_equal(infected, [0.0, 0.0]) and np.array_equal(removed, [0.0, 0.0])
+
+
 class TestRowNumbers:
     """Rows are numbered from the header as row 1; blank lines are skipped
     and not counted."""
@@ -296,9 +363,10 @@ def _outcome(load):
 
 
 class TestColumnarLoaderMatchesReference:
-    @given(edge_files())
+    @pytest.mark.parametrize("chunk", [dataio._CSV_CHUNK_ROWS, 2], ids=["default", "2-rows"])
+    @given(case=edge_files())
     @settings(max_examples=300, deadline=None)
-    def test_same_weights_or_same_message(self, case):
+    def test_same_weights_or_same_message(self, chunk, case):
         m, lines = case
         populations = [10.0 + k for k in range(m)]
         resolver = {**{str(k): k for k in range(m)}, **{f"loc{k}": k for k in range(m)}}
@@ -309,7 +377,8 @@ class TestColumnarLoaderMatchesReference:
                 + "".join(f"{k},loc{k},{n!r}\n" for k, n in enumerate(populations)),
             )
             edges = write(Path(tmp) / "edges.csv", "from,to,weight\n" + "\n".join(lines) + "\n")
-            new = _outcome(lambda: load_network(NetworkFiles(edges, pop))[0].weights)
+            with mock.patch.object(dataio, "_CSV_CHUNK_ROWS", chunk):
+                new = _outcome(lambda: load_network(NetworkFiles(edges, pop))[0].weights)
             old = _outcome(
                 lambda: LocationNetwork(populations, _reference_edges(edges, resolver, m)).weights
             )

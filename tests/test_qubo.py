@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from epiqubo import (
     to_control,
 )
 from epiqubo import qubo as qubo_module
-from epiqubo.dataio import generate_synthetic
+from epiqubo.dataio import NetworkFiles, generate_synthetic, load_network, write_network_csvs
 from epiqubo.epinet import (
     batch_infection_cost,
     infection_rate_from_r0,
@@ -473,6 +475,253 @@ class TestTextFormat:
     def test_unallocatable_size_names_line_one(self):
         with pytest.raises(QuboParseError, match="line 1.*M=10000000"):
             import_qubo("# QUBO M=10000000 offset=0.0\n")
+
+
+    @pytest.mark.parametrize("body", ["0 1 nan", "0 1 inf", "0 0 1e400"])
+    def test_non_finite_coefficient_names_its_line(self, body):
+        with pytest.raises(QuboParseError) as info:
+            import_qubo(f"# QUBO M=2 offset=0.0\n1 1 2.0\n{body}\n")
+        assert str(info.value) == f"line 3: coefficient must be finite, got {body!r}"
+
+    def test_non_finite_offset_names_line_one(self):
+        with pytest.raises(QuboParseError) as info:
+            import_qubo("# QUBO M=2 offset=inf\n0 1 nan\n")
+        assert str(info.value) == "line 1: offset must be finite, got inf"
+
+    def test_other_faults_are_named_before_a_non_finite_value(self):
+        with pytest.raises(QuboParseError, match="^line 4: duplicate entry"):
+            import_qubo("# QUBO M=2 offset=nan\n0 1 inf\n0 0 1\n0 0 2\n")
+
+
+def _reference_export(q: QuboProblem) -> str:
+    """The pair-dict formatter that the chunked ``export_qubo`` replaced."""
+    lines = [f"# QUBO M={q.m} offset={q.offset!r}"]
+    lines += [f"{i} {i} {value!r}" for i, value in enumerate(q.linear.tolist()) if value != 0.0]
+    lines += [f"{i} {j} {value!r}" for (i, j), value in q.quadratic.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_import(text: str) -> QuboProblem:
+    """The whole-document, line-by-line parser that the chunked
+    ``import_qubo`` replaced; it left non-finite values to ``QuboProblem``."""
+    lines = text.splitlines()
+    if not lines:
+        raise QuboParseError("line 1: empty document, expected QUBO header")
+    header = lines[0].strip()
+    parts = header.split()
+    if (
+        len(parts) != 4
+        or parts[0] != "#"
+        or parts[1] != "QUBO"
+        or not parts[2].startswith("M=")
+        or not parts[3].startswith("offset=")
+    ):
+        raise QuboParseError("line 1: expected header '# QUBO M=<int> offset=<decimal>'")
+    try:
+        m = int(parts[2][2:])
+        offset = float(parts[3][7:])
+    except ValueError as exc:
+        raise QuboParseError(f"line 1: bad header value ({exc})") from exc
+    if m < 0:
+        raise QuboParseError("line 1: variable count must be nonnegative")
+    coupling = np.zeros((m, m))
+    linear = np.zeros(m)
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise QuboParseError(f"line {lineno}: expected '<i> <j> <value>', got {raw!r}")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise QuboParseError(f"line {lineno}: indices must be integers, got {raw!r}")
+        try:
+            value = float(tokens[2])
+        except ValueError:
+            raise QuboParseError(f"line {lineno}: bad coefficient, got {raw!r}")
+        if not (0 <= i < m and 0 <= j < m):
+            raise QuboParseError(f"line {lineno}: index out of range for M={m}")
+        if i > j:
+            raise QuboParseError(f"line {lineno}: indices must satisfy i <= j")
+        if (i, j) in seen:
+            raise QuboParseError(f"line {lineno}: duplicate entry ({i}, {j})")
+        seen.add((i, j))
+        if i == j:
+            linear[i] = value
+        else:
+            coupling[i, j] = coupling[j, i] = value
+    return QuboProblem(linear, coupling, offset)
+
+
+def _non_finite_message(text: str) -> str:
+    """The refusal a document gets when its only fault is a non-finite
+    offset or coefficient: the offset first, then the earliest entry line."""
+    lines = text.splitlines()
+    offset = float(lines[0].split()[3][7:])
+    if not math.isfinite(offset):
+        return f"line 1: offset must be finite, got {offset!r}"
+    for lineno, raw in enumerate(lines[1:], start=2):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#") and not math.isfinite(float(tokens[2])):
+            return f"line {lineno}: coefficient must be finite, got {raw!r}"
+    raise AssertionError("no non-finite value in the document")
+
+
+def _import_outcome(parse, text: str):
+    try:
+        q = parse(text)
+    except QuboParseError as exc:
+        return "error", str(exc)
+    except ValueError as exc:
+        # only the reference parser lets a non-finite value reach QuboProblem
+        assert "must be finite" in str(exc)
+        return "error", _non_finite_message(text)
+    return "problem", q.linear.tobytes(), q.coupling.tobytes(), repr(q.offset)
+
+
+TEXT_FAULTS = (
+    "tokens", "index", "coefficient", "range", "huge", "order", "duplicate", "non-finite",
+)
+
+
+@st.composite
+def qubo_texts(draw):
+    """A QUBO document over M = 0-5 variables: entries with varied integer
+    and decimal spellings, comments, blank and space-only lines, ``\\n`` or
+    ``\\r\\n`` line ends, and up to three injected faults."""
+    m = draw(st.integers(0, 5))
+    offset = draw(st.sampled_from(["0.0", "-1.5", "2", "1e-300", "inf", "nan"]))
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+
+    def index(k):
+        return draw(st.sampled_from([str(k), f"+{k}", f"0{k}"]))
+
+    def value():
+        return draw(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.sampled_from(["0", "-0.0", "1_0.5", "  3"]),
+            )
+        )
+
+    lines = [f"{index(i)} {index(j)} {value()}" for i, j in chosen]
+    for kind in draw(st.lists(st.sampled_from(TEXT_FAULTS), max_size=3)):
+        i = draw(st.integers(0, max(m - 1, 0)))
+        line = f"{i} {i} 1.5"
+        if kind == "tokens":
+            line = draw(st.sampled_from([f"{i} {i}", f"{i} {i} 1 2", f"{i}"]))
+        elif kind == "index":
+            line = draw(st.sampled_from([f"x {i} 1.0", f"{i} 1.0 1.0"]))
+        elif kind == "coefficient":
+            line = f"{i} {i} y"
+        elif kind == "range":
+            line = draw(st.sampled_from([f"{m} {m} 1.0", f"-1 {i} 1.0", f"{i} {m} 1.0"]))
+        elif kind == "huge":
+            line = f"{10**30} {i} 1.0"
+        elif kind == "order" and m > 1:
+            line = f"{m - 1} {draw(st.integers(0, m - 2))} 1.0"
+        elif kind == "duplicate" and chosen:
+            a, b = draw(st.sampled_from(chosen))
+            line = f"{index(a)} {index(b)} {value()}"
+        elif kind == "non-finite":
+            line = f"{i} {i} {draw(st.sampled_from(['nan', 'inf', '-inf', '1e400']))}"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", "   ", "# a comment", "  #0 0 9", "#"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = end if draw(st.booleans()) else ""
+    return end.join([f"# QUBO M={m} offset={offset}", *lines]) + tail
+
+
+finite_coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def qubo_problems(draw):
+    m = draw(st.integers(0, 8))
+    linear = draw(st.lists(finite_coefficients, min_size=m, max_size=m))
+    upper = np.zeros((m, m))
+    rows, cols = np.triu_indices(m, 1)
+    upper[rows, cols] = draw(st.lists(finite_coefficients, min_size=len(rows), max_size=len(rows)))
+    return QuboProblem(linear, upper + upper.T, draw(finite_coefficients))
+
+
+class TestChunkedCodec:
+    """The chunked codec against test-local copies of the whole-document
+    one, at the default chunk and at two lines per chunk."""
+
+    CHUNKS = pytest.mark.parametrize(
+        "chunk", [qubo_module._TEXT_CHUNK_LINES, 2], ids=["default", "2-lines"]
+    )
+
+    @CHUNKS
+    @given(q=qubo_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_export_gives_the_same_bytes(self, chunk, q):
+        with mock.patch.object(qubo_module, "_TEXT_CHUNK_LINES", chunk):
+            text = export_qubo(q)
+            back = import_qubo(text)
+        assert text == _reference_export(q)
+        assert np.array_equal(back.linear, q.linear)  # a -0.0 linear term is not written
+        assert back.coupling.tobytes() == q.coupling.tobytes()
+        assert repr(back.offset) == repr(q.offset)
+
+    @CHUNKS
+    @given(text=qubo_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_import_gives_the_same_problem_or_message(self, chunk, text):
+        with mock.patch.object(qubo_module, "_TEXT_CHUNK_LINES", chunk):
+            new = _import_outcome(import_qubo, text)
+        assert new == _import_outcome(_reference_import, text)
+
+
+def _traced_peak_mb(work) -> float:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestTextMemory:
+    """Reading the M = 300 study network and writing and reading its QUBO
+    text hold a few chunks of rows, not the whole file.  Whole-file reads
+    peaked at 25-26 MB (load), 9.9-10.4 MB (export) and 9.7-10.2 MB (import);
+    chunked ones at 1.5, 4.8 and 1.9 MB."""
+
+    BOUND_MB = 8.0
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        net = generate_synthetic(300, "gravity", 2024)
+        edges, pop = write_network_csvs(net, tmp_path_factory.mktemp("m300"))
+        rho = spectral_growth_factor(net, np.zeros(net.m, dtype=np.int8))
+        mu = 0.9 * invariance_bound(net) * rho / 3.0
+        params = EpidemicParams(ModelKind.SIR, infection_rate_from_r0(3.0, mu, net), mu)
+        infected = np.zeros(net.m)
+        infected[:5] = 1e-3 * net.populations[:5]
+        q = build_qubo_sir_analytic(net, params, EpidemicState(infected, np.zeros(net.m)), 1e-5)
+        return NetworkFiles(edges, pop), q, export_qubo(q)
+
+    def test_load_network(self, study):
+        files, _, _ = study
+        assert _traced_peak_mb(lambda: load_network(files)) < self.BOUND_MB
+
+    def test_export_qubo(self, study):
+        _, q, _ = study
+        assert _traced_peak_mb(lambda: export_qubo(q)) < self.BOUND_MB
+
+    def test_import_qubo(self, study):
+        _, _, text = study
+        assert _traced_peak_mb(lambda: import_qubo(text)) < self.BOUND_MB
 
 
 class TestCouplingStorage:
