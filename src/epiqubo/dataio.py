@@ -10,10 +10,11 @@ identifier or the ``name`` from the population file; row order in the
 population file defines the 0-based index space.  A header that repeats a
 column is refused.  Blank lines are skipped; rows are numbered with the
 header as row 1, not counting blank lines.  A row with fewer or more fields
-than its header is refused, and that refusal wins over a bad value anywhere
-in the file.  Files are read ``_CSV_CHUNK_ROWS`` rows at a time and only
-arrays are kept between chunks, so memory follows the M x M weight matrix,
-not the size of the file.
+than its header is refused, and so is broken quoting (a quote left open, or
+text after a closing quote), as the ``csv`` module's strict mode reads it;
+those refusals win over a bad value anywhere in the file.  Files are read
+``_CSV_CHUNK_ROWS`` rows at a time and only arrays are kept between chunks,
+so memory follows the M x M weight matrix, not the size of the file.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -77,15 +78,19 @@ def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | 
     """Yield ``(first_row_number, {column: (field, ...)})`` for up to
     ``_CSV_CHUNK_ROWS`` non-blank rows at a time, after checking the header:
     the expected columns first, then optional ones, none repeated.  Blank
-    lines, row numbers and field counts as the module docstring says; a row
-    with the wrong field count raises when its chunk is read.  The last
-    chunk holds fewer rows than a full one, so a file without rows yields
-    one empty chunk that still names the header's columns."""
+    lines, row numbers, field counts and quoting as the module docstring
+    says; a row with the wrong field count or broken quoting raises when its
+    chunk is read, the earlier such row first.  The last chunk holds fewer
+    rows than a full one, so a file without rows yields one empty chunk that
+    still names the header's columns."""
     optional = optional or []
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        reader = csv.reader(handle, strict=True)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row 1: {exc}") from None
         if header is None:
             raise ValueError(f"{path}: empty file, expected header {expected}")
         allowed = expected + optional
@@ -99,10 +104,17 @@ def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | 
         rows = filter(None, reader)
         rownum = 2
         while True:
-            chunk = list(islice(rows, _CSV_CHUNK_ROWS))
+            chunk, malformed = [], None
+            try:
+                for row in islice(rows, _CSV_CHUNK_ROWS):
+                    chunk.append(row)
+            except csv.Error as exc:
+                malformed = f"{path}: row {rownum + len(chunk)}: {exc}"
             if set(map(len, chunk)) - {width}:
                 k, row = next((k, row) for k, row in enumerate(chunk) if len(row) != width)
                 raise ValueError(f"{path}: row {rownum + k} has {len(row)} fields, expected {width}")
+            if malformed:
+                raise ValueError(malformed)
             yield rownum, dict(zip(header, zip(*chunk))) if chunk else dict.fromkeys(header, ())
             if len(chunk) < _CSV_CHUNK_ROWS:
                 return

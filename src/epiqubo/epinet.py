@@ -11,8 +11,10 @@ rates are per time step; the step duration itself is scenario metadata that
 never enters the equations.
 
 The SIS and SIR updates are written once, in the array kernel
-``step_arrays``; ``step_sis`` and ``step_sir`` validate one state and call
-it, and the batched cost used by the QUBO builders iterates it.
+``step_arrays``, whose per-location part is ``_local_update``; ``step_sis``
+and ``step_sir`` validate one state and call it, the batched cost used by
+the QUBO builders iterates it, and the numeric builder applies
+``_local_update`` alone to the step-2 entries its pair probes perturb.
 """
 
 from __future__ import annotations
@@ -392,15 +394,27 @@ def step_arrays(
     one matrix-vector product shared by every row, so each row equals the
     single-state update bit for bit; the returned ``y`` is then still 1-D.
     """
-    n = net.populations
-    # x_next = (1 - mu) x + (lam / n)(n - x [- y]) alpha, built in alpha's
-    # buffer: batches from the numeric builder hold several (B, M) arrays at
-    # once, and each live one costs B * M floats.  IEEE + and * commute, so
-    # the operand swaps keep every bit.
-    x_next = _force(x, u, net)
-    x_next *= (params.lam / n) * (n - x if y is None else n - x - y)
-    x_next += (1.0 - params.mu) * x
+    x_next = _local_update(_force(x, u, net), x, y, net.populations, params)
     return x_next, None if y is None else y + params.mu * x
+
+
+def _local_update(
+    alpha: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray | None,
+    n: np.ndarray,
+    params: EpidemicParams,
+) -> np.ndarray:
+    """``x_next = (1 - mu) x + (lam / n)(n - x [- y]) alpha``, elementwise.
+
+    Built in ``alpha``'s buffer, which is returned: batches of probe controls
+    hold several (B, M) arrays at once, and each live one costs B * M floats.
+    IEEE + and * commute, so the operand swaps keep every bit.  ``n`` and the
+    states may be gathered at any locations, as long as they line up.
+    """
+    alpha *= (params.lam / n) * (n - x if y is None else n - x - y)
+    alpha += (1.0 - params.mu) * x
+    return alpha
 
 
 def batch_infection_cost(

@@ -4,8 +4,11 @@ The decision bits are "keep open" flags ``z = 1 - u``: minimizing the
 quadratic form over z picks which locations to isolate.  Two builders
 compile the same objective:
 
-* a numeric builder that reconstructs the exact multilinear quadratic from
-  ``1 + M + M(M-1)/2`` two-step simulations (ground truth by construction),
+* a numeric builder that reconstructs the exact multilinear quadratic by
+  interpolation at ``1 + M + M(M-1)/2`` probe controls (ground truth by
+  construction): ``1 + M`` anchors are simulated, and each pair probe is
+  evaluated only at the two locations it opens, as a perturbation of two
+  step-2 entries, so a build takes O(M^2) work,
 * closed-form builders for SIS and SIR that expand the two-step dynamics
   analytically and must agree with the numeric one to float precision.
 
@@ -33,11 +36,13 @@ from .epinet import (
     EpidemicState,
     LocationNetwork,
     ModelKind,
+    _local_update,
     as_bits,
     batch_infection_cost,
     check_state,
     cost,
     simulate,
+    step_arrays,
 )
 
 __all__ = [
@@ -60,16 +65,14 @@ HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
 ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
 ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
-# Probe controls per numeric-builder batch, in rows x M: 218 rows at M = 300,
-# so each (B, M) temporary of the two-step cost stays in cache.  On a 2-vCPU
-# host the M = 300 build took about 0.6 s, against 1.0 s with 1 << 20.
-# Step 1 is shared by every row; step 2 is one ``X @ W.T`` per block, and
-# BLAS (seen with OpenBLAS 0.3.31) may round a row of it differently for
-# different row counts of ``X``.  Measured on the gravity study networks:
-# blocks of 2^16 or 2^14 elements gave the same coefficients as one block,
-# bit for bit, at M = 40, 64, 107, 128, 200 and 300; differences appeared
-# only below roughly 16-64 rows per block.  For a given M the build is
-# deterministic.
+# Anchor probes (z = 0 and each e_i) per numeric-builder batch, in rows x M:
+# 218 rows at M = 300, so each (B, M) temporary of the two-step cost stays in
+# cache.  Step 1 is shared by every row; step 2 is one ``X @ W.T`` per block,
+# and BLAS (seen with OpenBLAS 0.3.31) may round a row of it differently for
+# different row counts of ``X``; such differences were seen only below about
+# 16-64 rows per block.  On the gravity study networks the default blocks
+# gave the same anchors as one block, bit for bit, at M = 256, 300, 361 and
+# 500.  For a given M the build is deterministic.
 NUMERIC_BLOCK_ELEMENTS = 1 << 16
 # A bit is fixed only when its marginal clears zero by this share of its row's
 # coefficient mass, so roundoff in the sums can never fix a tied bit.
@@ -242,45 +245,77 @@ def build_qubo_numeric(
     Over binary vectors the cost is multilinear of degree two, so it is
     pinned exactly by its values at z = 0, the unit vectors, and the pair
     vectors: ``offset = g(0)``, ``P_i = g(e_i) - g(0)``,
-    ``Q_ij = g(e_i + e_j) - g(e_i) - g(e_j) + g(0)``.  The isolation-cost
-    term is linear and added in closed form, which keeps the degenerate
-    cases (no infected, no edges) exact rather than merely close.
+    ``Q_ij = g(e_i + e_j) - g(e_i) - g(e_j) + g(0)``.  The ``1 + M`` anchor
+    probes (z = 0 and each e_i) are simulated in blocks of
+    ``NUMERIC_BLOCK_ELEMENTS``.  A pair probe changes the two-step state
+    only at the two locations it opens, so each ``Q_ij`` is evaluated there
+    alone, as two perturbed entries of step 2 (see ``_pair_couplings``):
+    O(M^2) work for all M(M-1)/2 pairs instead of a simulation each.  The
+    isolation-cost term is linear and added in closed form, which keeps the
+    degenerate cases (no infected, no edges) exact rather than merely close.
 
     Works for both SIS and SIR; the model kind is taken from ``params``.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     m = net.m
-    rows, cols = np.triu_indices(m, 1)  # pair k sits in row 1 + m + k
-    # probe row r keeps locations first[r] and second[r] open (-1: none)
-    first = np.concatenate(([-1], np.arange(m), rows))
-    second = np.concatenate(([-1], np.arange(m), cols))
+    # anchor row r keeps location r - 1 open (row 0: none)
+    opened = np.arange(-1, m)
     locations = np.arange(m)
     block = max(1, NUMERIC_BLOCK_ELEMENTS // max(m, 1))
-    g_inf = np.empty(first.shape[0])
-    # Each block frees its (block, M) temporaries, a few MB, before the next
-    # allocates them again.  glibc keeps freed memory for reuse only below
-    # thresholds that grow with the largest block it has unmapped, so unless
-    # something larger was freed first, every block re-faults its pages:
-    # at M = 300 that was 173,000 page faults and 1.1 s instead of 1,300 and
-    # 0.6 s.  Freeing one untouched 2 MB buffer here raises both thresholds
-    # (1 MB was not enough; 8 MB also kept more memory resident afterwards).
-    np.empty(4 * NUMERIC_BLOCK_ELEMENTS)
-    for start in range(0, first.shape[0], block):
-        stop = start + block
-        isolated = (locations != first[start:stop, None]) & (
-            locations != second[start:stop, None]
-        )
-        g_inf[start:stop] = batch_infection_cost(
+    g_inf = np.empty(m + 1)
+    for start in range(0, m + 1, block):
+        isolated = locations != opened[start : start + block, None]
+        g_inf[start : start + block] = batch_infection_cost(
             net, params, state0, isolated.astype(np.float64), HORIZON
         )
 
     base = g_inf[0]
-    linear = g_inf[1 : 1 + m] - base - gamma * net.populations
-    upper = np.zeros((m, m))
-    upper[rows, cols] = g_inf[1 + m :] - g_inf[1 + rows] - g_inf[1 + cols] + base
+    linear = g_inf[1:] - base - gamma * net.populations
     offset = float(base + gamma * net.populations.sum())
-    return QuboProblem(linear, upper + upper.T, offset)
+    return QuboProblem(linear, _pair_couplings(net, params, state0), offset)
+
+
+def _pair_couplings(
+    net: LocationNetwork, params: EpidemicParams, state0: EpidemicState
+) -> np.ndarray:
+    """The numeric builder's coupling matrix, from two step-2 entries per pair.
+
+    Let ``b`` and ``o`` be the step-1 states with every location isolated
+    and with every location open, and ``d = o - b``.  After step 1 the probe
+    that opens S holds ``o`` on S and ``b`` elsewhere (bit for bit, since
+    ``x + 0.0 * v == x``).  In step 2 a location outside S is isolated, so
+    it evolves as under the all-isolated probe, and those entries cancel in
+    ``Q_ij``.  At i in S the force is ``o_i + (W b)_i + sum_{k in S} W_ik
+    d_k``, self-weight ``W_ii`` included.  What is left is
+    ``Q_ij = [x2_i({i, j}) - x2_i({i})] + [x2_j({i, j}) - x2_j({j})]``,
+    each term the step-2 local update of one gathered entry.
+    """
+    m = net.m
+    n = net.populations
+    w = net.weights
+    x0, y0 = state0.infected, state0.removed
+    shut, y1 = step_arrays(x0, y0, np.ones(m), net, params)
+    open_, _ = step_arrays(x0, y0, np.zeros(m), net, params)
+    d = open_ - shut
+    alone = open_ + w @ shut + w.diagonal() * d  # step-2 force at i, only i open
+    x2_alone = _local_update(alone.copy(), open_, y1, n, params)
+
+    def gain(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """x2_i({i, j}) - x2_i({i}) for each pair (i[k], j[k])."""
+        x2 = _local_update(
+            alone[i] + w[i, j] * d[j], open_[i], None if y1 is None else y1[i], n[i], params
+        )
+        x2 -= x2_alone[i]
+        return x2
+
+    rows, cols = np.triu_indices(m, 1)
+    pairs = gain(rows, cols)
+    pairs += gain(cols, rows)
+    coupling = np.zeros((m, m))
+    coupling[rows, cols] = pairs
+    coupling[cols, rows] = pairs
+    return coupling
 
 
 def _build_analytic(
@@ -322,15 +357,19 @@ def _build_analytic(
     sigma_next = 1.0 - (a + carried) / n
     h = sigma_next - c / n
 
-    q_mat = lam * h[:, None] * a_mat * c[None, :]
+    # q_ij = lam h_i A_ij c_j, then coupling = q + q^T, in one (M, M) buffer;
+    # numpy copies the overlapping q^T once, and the operand order of every
+    # product and sum is the one of the expression written out
+    coupling = lam * h[:, None] * a_mat
+    coupling *= c
     linear = (
         (2.0 - mu) * c
         + lam * c * (sigma_next - (a + c) / n)
         + lam * h * (a_mat @ a)
         - gamma * n
-        + np.diag(q_mat)  # self-weight terms: z_i^2 = z_i
+        + coupling.diagonal()  # self-weight terms: z_i^2 = z_i
     )
-    coupling = q_mat + q_mat.T
+    coupling += coupling.T
     np.fill_diagonal(coupling, 0.0)  # only pairs i != j couple
 
     # Offset from one simulation at z = 0 (every location isolated), so the

@@ -650,6 +650,25 @@ class TestRefusedBeforeAnyStep:
         assert code == 1
         assert f"error: {edges}: row 2 has 2 fields, expected 3" in capsys.readouterr().err
 
+    def test_open_quote_exits_one_in_control_and_batch(self, workspace, tmp_path, capsys):
+        edges = tmp_path / "quote.csv"
+        edges.write_text('from,to,weight\n0,1,"0.5\n', encoding="utf-8")
+        flags = ["--network", str(edges), "--population", workspace["population"]]
+        code = cli_dispatch(
+            ["control", *flags, "--model", "sir", "--lambda", "0.02", "--mu", "0.05",
+             "--gamma", "1e-7", "--out", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert f"error: {edges}: row 2: unexpected end of data" in capsys.readouterr().err
+        scen = tmp_path / "quote.scenario"
+        scen.write_text(
+            f"model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = 1\n"
+            f"edges = {edges}\npopulation = {workspace['population']}\n",
+            encoding="utf-8",
+        )
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
+        assert f"error in {scen}: {edges}: row 2: unexpected end of data" in capsys.readouterr().err
+
     def test_batch_short_cases_row(self, tmp_path, capsys):
         (tmp_path / "cases.csv").write_text("location,infected\n0\n", encoding="utf-8")
         scen = tmp_path / "short.scenario"

@@ -264,6 +264,86 @@ class TestRowNumbers:
         assert str(info.value) == f"{edges}: {message}"
 
 
+class TestQuoting:
+    """Quoting is read as the csv module's strict dialect reads it: a quote
+    left open or text after a closing quote is refused, naming the row, and
+    ranks like a field-count error, before any bad value."""
+
+    OPEN_AT_END = "unexpected end of data"
+    TEXT_AFTER_QUOTE = "',' expected after '\"'"
+
+    @pytest.mark.parametrize(
+        "body, rownum, reason",
+        [
+            ('0,1,"0.5\n', 3, OPEN_AT_END),
+            ('0,1,"0.5\n0,0,0.25\n', 3, OPEN_AT_END),
+            ('0,1,"0.5"x\n', 3, TEXT_AFTER_QUOTE),
+        ],
+        ids=["open-in-last-row", "open-before-another-row", "text-after-quote"],
+    )
+    def test_edges(self, two_loc_files, body, rownum, reason):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", "from,to,weight\n1,0,0.25\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop))
+        assert str(info.value) == f"{edges}: row {rownum}: {reason}"
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [('1,b,"5\n', OPEN_AT_END), ('1,b,"5\n2,c,7\n', OPEN_AT_END), ('1,b,"5"x\n', TEXT_AFTER_QUOTE)],
+        ids=["open-in-last-row", "open-before-another-row", "text-after-quote"],
+    )
+    def test_population(self, tmp_path, body, reason):
+        pop = write(tmp_path / "p.csv", "location,name,population\n0,a,10\n" + body)
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop))
+        assert str(info.value) == f"{pop}: row 3: {reason}"
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [('1,"3\n', OPEN_AT_END), ('1,"3\n0,1\n', OPEN_AT_END), ('1,"3"x\n', TEXT_AFTER_QUOTE)],
+        ids=["open-in-last-row", "open-before-another-row", "text-after-quote"],
+    )
+    def test_cases(self, two_loc_files, body, reason):
+        tmp, edges, pop = two_loc_files
+        cases = write(tmp / "cases.csv", "location,infected\n0,1\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop, cases))
+        assert str(info.value) == f"{cases}: row 3: {reason}"
+
+    def test_header(self, two_loc_files):
+        tmp, _, pop = two_loc_files
+        edges = write(tmp / "e.csv", 'from,to,"weight"x\n0,1,0.5\n')
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(edges, pop))
+        assert str(info.value) == f"{edges}: row 1: {self.TEXT_AFTER_QUOTE}"
+
+    def test_well_formed_quoting_still_loads(self, tmp_path):
+        # quoted fields, an embedded comma, a doubled quote, and a quote
+        # inside an unquoted field
+        pop = write(
+            tmp_path / "p.csv",
+            'location,name,population\n0,"a,b",10\n1,"x""y",20\n2,c"d,"30"\n',
+        )
+        edges = write(tmp_path / "e.csv", 'from,to,weight\n"a,b","x""y","0.5"\nc"d,0,0.25\n')
+        net, names, _, _ = load_network(NetworkFiles(edges, pop))
+        assert names == ["a,b", 'x"y', 'c"d']
+        assert np.array_equal(net.weights, [[0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("chunk", [dataio._CSV_CHUNK_ROWS, 2], ids=["default", "2-rows"])
+    def test_ranks_with_field_counts_before_bad_values(self, two_loc_files, monkeypatch, chunk):
+        monkeypatch.setattr(dataio, "_CSV_CHUNK_ROWS", chunk)
+        tmp, _, pop = two_loc_files
+        late_quote = write(tmp / "q.csv", 'from,to,weight\n0,1,x\n1,0,0.5\n0,0,"1\n')
+        with pytest.raises(ValueError) as info:
+            load_network(NetworkFiles(late_quote, pop))
+        assert str(info.value) == f"{late_quote}: row 4: {self.OPEN_AT_END}"
+        short_first = write(tmp / "s.csv", 'from,to,weight\n0,1\n1,0,0.5\n0,0,"1\n')
+        with pytest.raises(ValueError, match=r"s\.csv: row 2 has 2 fields, expected 3$"):
+            load_network(NetworkFiles(short_first, pop))
+
+
 def _reference_edges(path, resolver, m):
     """The per-row ``csv.DictReader`` edge loader that the columnar one
     replaced, kept to pin its weights and messages; it does not refuse

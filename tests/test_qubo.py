@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -150,27 +151,37 @@ class TestNumericBuilder:
 
     @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
     def test_coupling_equals_the_per_pair_loop_bitwise(self, rng, kind):
+        # Q_ij = [x2_i({i, j}) - x2_i({i})] + [x2_j({i, j}) - x2_j({j})], one
+        # pair and one location at a time in Python floats; a self-weight
+        # enters through z_i^2 = z_i
         m = 7
         net, params, state, gamma = random_instance(rng, kind, m)
-        rows = [np.zeros(m, dtype=np.int8)]
-        for i in range(m):
-            rows.append(np.eye(m, dtype=np.int8)[i])
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        for i, j in pairs:
-            row = np.zeros(m, dtype=np.int8)
-            row[[i, j]] = 1
-            rows.append(row)
-        controls = (1 - np.array(rows)).astype(np.float64)
-        g = batch_infection_cost(net, params, state, controls, 2)
+        net = LocationNetwork(net.populations, net.weights + np.diag(rng.uniform(0.0, 1.0, m)))
+        shut = simulate(net, params, state, np.ones(m, dtype=np.int8), 1)
+        opened = simulate(net, params, state, np.zeros(m, dtype=np.int8), 1)
+        b, o = shut.infected[1].tolist(), opened.infected[1].tolist()
+        y1 = [0.0] * m if kind is ModelKind.SIS else shut.removed[1].tolist()
+        wb = (net.weights @ shut.infected[1]).tolist()
+        w, n = net.weights.tolist(), net.populations.tolist()
+        lam, mu = params.lam, params.mu
+
+        def x2(i, force):
+            susceptible = n[i] - o[i] if kind is ModelKind.SIS else n[i] - o[i] - y1[i]
+            return force * ((lam / n[i]) * susceptible) + (1.0 - mu) * o[i]
+
+        alone = [o[i] + wb[i] + w[i][i] * (o[i] - b[i]) for i in range(m)]
         want = np.zeros((m, m))
-        for k, (i, j) in enumerate(pairs):
-            want[i, j] = want[j, i] = g[1 + m + k] - g[1 + i] - g[1 + j] + g[0]
+        for i in range(m):
+            for j in range(i + 1, m):
+                gain_i = x2(i, alone[i] + w[i][j] * (o[j] - b[j])) - x2(i, alone[i])
+                gain_j = x2(j, alone[j] + w[j][i] * (o[i] - b[i])) - x2(j, alone[j])
+                want[i, j] = want[j, i] = gain_i + gain_j
         q = build_qubo_numeric(net, params, state, gamma)
         assert q.coupling.tobytes() == (want + 0.0).tobytes()
 
     @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
     def test_row_blocks_match_one_block_bitwise(self, rng, kind, monkeypatch):
-        # 22 probe rows in blocks of 4 leave no one-row block, which BLAS
+        # 7 anchor rows in blocks of 4 leave no one-row block, which BLAS
         # would evaluate as a matrix-vector product with other rounding
         m = 6
         net, params, state, gamma = random_instance(rng, kind, m)
@@ -182,10 +193,10 @@ class TestNumericBuilder:
         assert blocked.offset == whole.offset
 
     @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
-    def test_default_blocks_match_one_block_on_the_m128_study_network(self, kind, monkeypatch):
+    def test_default_blocks_match_one_block_on_the_m300_study_network(self, kind, monkeypatch):
         # the gravity study network of criterion 7: rate at 0.9 of the
         # invariance bound with r0 = 3, five seeded sites, state at t = 10
-        net = generate_synthetic(128, "gravity", 2024)
+        net = generate_synthetic(300, "gravity", 2024)
         rho = spectral_growth_factor(net, np.zeros(net.m, dtype=np.int8))
         mu = 0.9 * invariance_bound(net) * rho / 3.0
         params = EpidemicParams(kind, infection_rate_from_r0(3.0, mu, net), mu)
@@ -194,13 +205,61 @@ class TestNumericBuilder:
         y0 = np.zeros(net.m) if kind is ModelKind.SIR else None
         state = simulate(net, params, EpidemicState(x0, y0), None, 10).state_at(10)
         blocked = build_qubo_numeric(net, params, state, 1e-5)
-        rows = 1 + net.m + net.m * (net.m - 1) // 2
+        rows = 1 + net.m  # the anchors; pair couplings are not simulated in blocks
         assert qubo_module.NUMERIC_BLOCK_ELEMENTS // net.m < rows  # several blocks
         monkeypatch.setattr(qubo_module, "NUMERIC_BLOCK_ELEMENTS", rows * net.m)
         whole = build_qubo_numeric(net, params, state, 1e-5)
         assert blocked.linear.tobytes() == whole.linear.tobytes()
         assert blocked.coupling.tobytes() == whole.coupling.tobytes()
         assert blocked.offset == whole.offset
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        kind=st.sampled_from([ModelKind.SIS, ModelKind.SIR]),
+        self_weights=st.booleans(),
+    )
+    def test_matches_exact_rational_interpolation(self, seed, m, kind, self_weights):
+        # every probe's two-step cost in exact arithmetic from the float
+        # inputs; each coefficient within 4 eps of g(0) of the exact one
+        rng = np.random.default_rng(seed)
+        net, params, state, gamma = random_instance(rng, kind, m)
+        if self_weights:
+            net = LocationNetwork(net.populations, net.weights + np.diag(rng.uniform(0.0, 1.0, m)))
+        q = build_qubo_numeric(net, params, state, gamma)
+
+        n = [Fraction(v) for v in net.populations.tolist()]
+        w = [[Fraction(v) for v in row] for row in net.weights.tolist()]
+        lam, mu, g = Fraction(params.lam), Fraction(params.mu), Fraction(gamma)
+
+        def infections(opened):
+            x = [Fraction(v) for v in state.infected.tolist()]
+            y = None if state.removed is None else [Fraction(v) for v in state.removed.tolist()]
+            total = Fraction(0)
+            for _ in range(2):
+                force = [
+                    x[i] + (sum(w[i][k] * x[k] for k in range(m)) if i in opened else 0)
+                    for i in range(m)
+                ]
+                susceptible = [n[i] - x[i] - (0 if y is None else y[i]) for i in range(m)]
+                x, y = (
+                    [(1 - mu) * x[i] + lam / n[i] * susceptible[i] * force[i] for i in range(m)],
+                    None if y is None else [y[i] + mu * x[i] for i in range(m)],
+                )
+                total += sum(x)
+            return total
+
+        g0 = infections(())
+        single = [infections((i,)) for i in range(m)]
+        offset = g0 + g * sum(n)
+        tol = 4 * np.finfo(float).eps * max(1.0, abs(float(offset)))
+        assert abs(Fraction(q.offset) - offset) <= tol
+        for i in range(m):
+            assert abs(Fraction(q.linear[i]) - (single[i] - g0 - g * n[i])) <= tol
+            for j in range(i + 1, m):
+                exact = infections((i, j)) - single[i] - single[j] + g0
+                assert abs(Fraction(q.coupling[i, j]) - exact) <= tol
 
     def test_identity_sampled_assignments_large_m(self, rng):
         # beyond exhaustive reach the identity is spot-checked on 1000 draws
