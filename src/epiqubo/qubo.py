@@ -289,7 +289,7 @@ def _pair_couplings(
     ``Q_ij``.  At i in S the force is ``o_i + (W b)_i + sum_{k in S} W_ik
     d_k``, self-weight ``W_ii`` included.  What is left is
     ``Q_ij = [x2_i({i, j}) - x2_i({i})] + [x2_j({i, j}) - x2_j({j})]``,
-    each term the step-2 local update of one gathered entry.
+    each bracket the step-2 local update of one perturbed entry.
     """
     m = net.m
     n = net.populations
@@ -300,21 +300,15 @@ def _pair_couplings(
     d = open_ - shut
     alone = open_ + w @ shut + w.diagonal() * d  # step-2 force at i, only i open
     x2_alone = _local_update(alone.copy(), open_, y1, n, params)
-
-    def gain(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """x2_i({i, j}) - x2_i({i}) for each pair (i[k], j[k])."""
-        x2 = _local_update(
-            alone[i] + w[i, j] * d[j], open_[i], None if y1 is None else y1[i], n[i], params
-        )
-        x2 -= x2_alone[i]
-        return x2
-
-    rows, cols = np.triu_indices(m, 1)
-    pairs = gain(rows, cols)
-    pairs += gain(cols, rows)
-    coupling = np.zeros((m, m))
-    coupling[rows, cols] = pairs
-    coupling[cols, rows] = pairs
+    # entry [i, j] first holds the bracket x2_i({i, j}) - x2_i({i}), then the
+    # sum with its transpose (numpy copies the overlapping operand once)
+    coupling = w * d
+    coupling += alone[:, None]
+    y_col = None if y1 is None else y1[:, None]
+    _local_update(coupling, open_[:, None], y_col, n[:, None], params)
+    coupling -= x2_alone[:, None]
+    coupling += coupling.T
+    np.fill_diagonal(coupling, 0.0)  # only pairs i != j couple
     return coupling
 
 

@@ -37,7 +37,6 @@ from epiqubo import (
 from epiqubo import qubo as qubo_module
 from epiqubo.dataio import NetworkFiles, generate_synthetic, load_network, write_network_csvs
 from epiqubo.epinet import (
-    batch_infection_cost,
     infection_rate_from_r0,
     invariance_bound,
     spectral_growth_factor,
