@@ -12,6 +12,7 @@ reproducible while the solver randomness stays decorrelated across steps.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,6 +171,19 @@ def _advance(
     return EpidemicState(x, y)
 
 
+@contextmanager
+def _per_step_arrays(steps: int):
+    """Turn a failed allocation of per-step arrays into a ValueError naming
+    ``steps``: numpy raises MemoryError for an array the host cannot hold
+    and ValueError for a shape it cannot address."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"steps={steps} needs per-step arrays that cannot be allocated ({exc})"
+        ) from exc
+
+
 def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
     """Apply ``plan(t, state)`` and advance, ``cfg.steps`` times, recording states."""
     net = cfg.network
@@ -181,9 +195,10 @@ def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
         )
     check_state(state0, net, cfg.kind)
     params = cfg.params
-    controls = np.zeros((cfg.steps, net.m), dtype=np.int8)
-    xs = np.empty((cfg.steps + 1, net.m))
-    ys = None if state0.removed is None else np.empty_like(xs)
+    with _per_step_arrays(cfg.steps):
+        controls = np.zeros((cfg.steps, net.m), dtype=np.int8)
+        xs = np.empty((cfg.steps + 1, net.m))
+        ys = None if state0.removed is None else np.empty_like(xs)
     xs[0] = state0.infected
     if ys is not None:
         ys[0] = state0.removed
@@ -207,9 +222,10 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
     restricted objective, ``wall_times`` the fixing plus the solve, and
     ``objectives`` the full objective at the applied plan.
     """
-    objectives = np.zeros(cfg.steps)
-    wall_times = np.zeros(cfg.steps)
-    evaluations = np.zeros(cfg.steps, dtype=np.int64)
+    with _per_step_arrays(cfg.steps):
+        objectives = np.zeros(cfg.steps)
+        wall_times = np.zeros(cfg.steps)
+        evaluations = np.zeros(cfg.steps, dtype=np.int64)
 
     def plan(t: int, state: EpidemicState) -> np.ndarray:
         q = build_qubo(cfg.network, cfg.params, state, cfg.gamma, cfg.builder)

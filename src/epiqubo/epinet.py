@@ -12,9 +12,10 @@ never enters the equations.
 
 The SIS and SIR updates are written once, in the array kernel
 ``step_arrays``, whose per-location part is ``_local_update``; ``step_sis``
-and ``step_sir`` validate one state and call it, the batched cost used by
-the QUBO builders iterates it, and the numeric builder applies
-``_local_update`` alone to the step-2 entries its pair probes perturb.
+and ``step_sir`` validate one state and call it, and the batched cost
+iterates it for brute force and for the numeric builder's z = 0 probe.  The
+numeric builder applies ``_local_update`` alone to the step-2 entries its
+other probes perturb.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class LocationNetwork:
     @property
     def m(self) -> int:
         return self.populations.shape[0]
-
-    @property
-    def total_population(self) -> float:
-        return float(self.populations.sum())
 
 
 @dataclass(frozen=True)
@@ -427,11 +424,14 @@ def batch_infection_cost(
     """Infection part of the cost (no gamma term) for a batch of constant
     controls, one row per control vector.
 
+    Its callers are ``qubo.solve_bruteforce_problem1``, which scans every
+    control, and the numeric builder's z = 0 probe, one all-isolated row.
     Step 1 is computed once from the 1-D start state: one matrix-vector
     product serves every row, so a row's step 1 does not depend on the
     batch and equals ``simulate``'s step 1.  Later steps run one
     matrix-matrix product per call, whose rows BLAS may round differently
-    for different row counts.
+    for different row counts; an all-isolated row multiplies that product
+    by zero, so its cost does not depend on the row count.
     """
     x, y = state0.infected, state0.removed
     total = np.zeros(controls.shape[0])

@@ -4,16 +4,19 @@ The decision bits are "keep open" flags ``z = 1 - u``: minimizing the
 quadratic form over z picks which locations to isolate.  Two builders
 compile the same objective:
 
-* a numeric builder that reconstructs the exact multilinear quadratic by
-  interpolation at ``1 + M + M(M-1)/2`` probe controls (ground truth by
-  construction): ``1 + M`` anchors are simulated, and each pair probe is
-  evaluated only at the two locations it opens, as a perturbation of two
-  step-2 entries, so a build takes O(M^2) work,
+* a numeric builder that reconstructs the multilinear quadratic by
+  interpolation at ``1 + M + M(M-1)/2`` probe controls: the z = 0 probe is
+  simulated, and every other probe is evaluated only at the locations it
+  opens, as perturbed step-2 entries, so a build takes O(M^2) work,
 * closed-form builders for SIS and SIR that expand the two-step dynamics
   analytically and must agree with the numeric one to float precision.
 
 Both keep the additive constant, so objective values equal simulated costs
-exactly, not just up to a shared offset.
+exactly, not just up to a shared offset.  Exactness rests on the
+interpolation identities, on tests that compare objective values with
+simulated costs over every assignment (acceptance criterion 1), and on a
+property that checks every numeric coefficient against two-step costs in
+exact rational arithmetic.
 
 A problem stores one dense symmetric coupling matrix with a zero diagonal;
 the builders, the text importer and every solver read and write that array.
@@ -65,15 +68,6 @@ HORIZON = 2  # the compilation below is exact only for a two-step lookahead
 
 ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
 ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
-# Anchor probes (z = 0 and each e_i) per numeric-builder batch, in rows x M:
-# 218 rows at M = 300, so each (B, M) temporary of the two-step cost stays in
-# cache.  Step 1 is shared by every row; step 2 is one ``X @ W.T`` per block,
-# and BLAS (seen with OpenBLAS 0.3.31) may round a row of it differently for
-# different row counts of ``X``; such differences were seen only below about
-# 16-64 rows per block.  On the gravity study networks the default blocks
-# gave the same anchors as one block, bit for bit, at M = 256, 300, 361 and
-# 500.  For a given M the build is deterministic.
-NUMERIC_BLOCK_ELEMENTS = 1 << 16
 # A bit is fixed only when its marginal clears zero by this share of its row's
 # coefficient mass, so roundoff in the sums can never fix a tied bit.
 PERSISTENCY_RTOL = 1e-12
@@ -245,52 +239,29 @@ def build_qubo_numeric(
     Over binary vectors the cost is multilinear of degree two, so it is
     pinned exactly by its values at z = 0, the unit vectors, and the pair
     vectors: ``offset = g(0)``, ``P_i = g(e_i) - g(0)``,
-    ``Q_ij = g(e_i + e_j) - g(e_i) - g(e_j) + g(0)``.  The ``1 + M`` anchor
-    probes (z = 0 and each e_i) are simulated in blocks of
-    ``NUMERIC_BLOCK_ELEMENTS``.  A pair probe changes the two-step state
-    only at the two locations it opens, so each ``Q_ij`` is evaluated there
-    alone, as two perturbed entries of step 2 (see ``_pair_couplings``):
-    O(M^2) work for all M(M-1)/2 pairs instead of a simulation each.  The
-    isolation-cost term is linear and added in closed form, which keeps the
-    degenerate cases (no infected, no edges) exact rather than merely close.
-
-    Works for both SIS and SIR; the model kind is taken from ``params``.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    m = net.m
-    # anchor row r keeps location r - 1 open (row 0: none)
-    opened = np.arange(-1, m)
-    locations = np.arange(m)
-    block = max(1, NUMERIC_BLOCK_ELEMENTS // max(m, 1))
-    g_inf = np.empty(m + 1)
-    for start in range(0, m + 1, block):
-        isolated = locations != opened[start : start + block, None]
-        g_inf[start : start + block] = batch_infection_cost(
-            net, params, state0, isolated.astype(np.float64), HORIZON
-        )
-
-    base = g_inf[0]
-    linear = g_inf[1:] - base - gamma * net.populations
-    offset = float(base + gamma * net.populations.sum())
-    return QuboProblem(linear, _pair_couplings(net, params, state0), offset)
-
-
-def _pair_couplings(
-    net: LocationNetwork, params: EpidemicParams, state0: EpidemicState
-) -> np.ndarray:
-    """The numeric builder's coupling matrix, from two step-2 entries per pair.
+    ``Q_ij = g(e_i + e_j) - g(e_i) - g(e_j) + g(0)``.  Only the z = 0 probe
+    is simulated, for the offset; every other probe is evaluated at the
+    locations it opens.
 
     Let ``b`` and ``o`` be the step-1 states with every location isolated
     and with every location open, and ``d = o - b``.  After step 1 the probe
     that opens S holds ``o`` on S and ``b`` elsewhere (bit for bit, since
     ``x + 0.0 * v == x``).  In step 2 a location outside S is isolated, so
-    it evolves as under the all-isolated probe, and those entries cancel in
+    it evolves as under z = 0, and those entries cancel in ``P_i`` and
     ``Q_ij``.  At i in S the force is ``o_i + (W b)_i + sum_{k in S} W_ik
-    d_k``, self-weight ``W_ii`` included.  What is left is
-    ``Q_ij = [x2_i({i, j}) - x2_i({i})] + [x2_j({i, j}) - x2_j({j})]``,
-    each bracket the step-2 local update of one perturbed entry.
+    d_k``, self-weight ``W_ii`` included.  What is left is ``P_i = d_i +
+    [x2_i({i}) - x2_i({})]`` and ``Q_ij = [x2_i({i, j}) - x2_i({i})] +
+    [x2_j({i, j}) - x2_j({j})]``, each bracket the step-2 local update of
+    one perturbed entry: O(M^2) work for all the probes.  The isolation-cost
+    term is linear and added in closed form, which keeps the degenerate
+    cases (no infected, no edges) exact rather than merely close.
+
+    The compiled dynamics are the unclamped ones; under ``force`` the
+    controller clamps the state after it applies a step.  Works for both SIS
+    and SIR; the model kind is taken from ``params``.
     """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     m = net.m
     n = net.populations
     w = net.weights
@@ -300,6 +271,11 @@ def _pair_couplings(
     d = open_ - shut
     alone = open_ + w @ shut + w.diagonal() * d  # step-2 force at i, only i open
     x2_alone = _local_update(alone.copy(), open_, y1, n, params)
+    x2_shut = _local_update(shut.copy(), shut, y1, n, params)  # under z = 0 the force is b
+    linear = d + (x2_alone - x2_shut) - gamma * n
+    g0 = batch_infection_cost(net, params, state0, np.ones((1, m)), HORIZON)[0]
+    offset = float(g0 + gamma * n.sum())
+
     # entry [i, j] first holds the bracket x2_i({i, j}) - x2_i({i}), then the
     # sum with its transpose (numpy copies the overlapping operand once)
     coupling = w * d
@@ -309,7 +285,7 @@ def _pair_couplings(
     coupling -= x2_alone[:, None]
     coupling += coupling.T
     np.fill_diagonal(coupling, 0.0)  # only pairs i != j couple
-    return coupling
+    return QuboProblem(linear, coupling, offset)
 
 
 def _build_analytic(
@@ -326,6 +302,8 @@ def _build_analytic(
     binary identity z^2 = z collapses everything to a quadratic whose
     coefficients are assembled below.  ``h`` and ``sigma_next`` are the
     one-step-ahead susceptible fractions with and without the local inflow.
+    The compiled dynamics are the unclamped ones; under ``force`` the
+    controller clamps the state after it applies a step.
     """
     name = kind.value.upper()
     if params.kind is not kind:

@@ -639,6 +639,56 @@ class TestRefusedBeforeAnyStep:
         assert f"error in {scen}: seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (out / "neg").exists()
 
+    def run_steps(self, ws, command, steps):
+        gamma = ["--gamma", "1e-7"] if command == "control" else []
+        out = ws["dir"] / "run"
+        code = cli_dispatch(
+            [command, *network_flags(ws), "--model", "sir", "--lambda", "0.02", "--mu", "0.05",
+             *gamma, "--steps", str(steps), "--out", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize("command", ["simulate", "control"])
+    def test_unaddressable_step_count(self, workspace, capsys, command):
+        # numpy refuses a shape of 2**62 rows before it allocates anything
+        code, out = self.run_steps(workspace, command, 2**62)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: steps={2**62} needs per-step arrays that cannot be allocated" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "control"])
+    def test_unallocatable_step_count(self, workspace, capsys, monkeypatch, command):
+        # the host refuses the per-step arrays of 10**10 steps; the refusal is
+        # faked, so nothing is allocated
+        steps = 10**10
+        zeros = np.zeros
+
+        def refusing_zeros(shape, *args, **kwargs):
+            if ((shape,) if isinstance(shape, int) else tuple(shape))[:1] == (steps,):
+                raise MemoryError(f"Unable to allocate an array with {steps} rows")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refusing_zeros)
+        code, out = self.run_steps(workspace, command, steps)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: steps={steps} needs per-step arrays that cannot be allocated" in err
+        assert not out.exists()
+
+    def test_batch_unaddressable_step_count(self, tmp_path, capsys):
+        scen = tmp_path / "long.scenario"
+        scen.write_text(
+            f"model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 1e-6\nsteps = {2**62}\n"
+            "profile = ring\nm = 3\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error in {scen}: steps={2**62} needs per-step arrays" in err
+        assert not (out / "long").exists()
+
     def test_short_edge_row(self, workspace, tmp_path, capsys):
         edges = tmp_path / "short.csv"
         edges.write_text("from,to,weight\n0,1\n", encoding="utf-8")

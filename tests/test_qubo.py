@@ -37,6 +37,7 @@ from epiqubo import (
 from epiqubo import qubo as qubo_module
 from epiqubo.dataio import NetworkFiles, generate_synthetic, load_network, write_network_csvs
 from epiqubo.epinet import (
+    batch_infection_cost,
     infection_rate_from_r0,
     invariance_bound,
     spectral_growth_factor,
@@ -179,20 +180,34 @@ class TestNumericBuilder:
         assert q.coupling.tobytes() == (want + 0.0).tobytes()
 
     @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
-    def test_row_blocks_match_one_block_bitwise(self, rng, kind, monkeypatch):
-        # 7 anchor rows in blocks of 4 leave no one-row block, which BLAS
-        # would evaluate as a matrix-vector product with other rounding
-        m = 6
+    def test_linear_equals_the_per_location_loop_bitwise(self, rng, kind):
+        # P_i = (o_i - b_i) + [x2_i({i}) - x2_i({})] - gamma n_i, one location
+        # at a time in Python floats; under z = 0 the step-2 force at i is b_i
+        m = 7
         net, params, state, gamma = random_instance(rng, kind, m)
-        whole = build_qubo_numeric(net, params, state, gamma)
-        monkeypatch.setattr(qubo_module, "NUMERIC_BLOCK_ELEMENTS", 4 * m)
-        blocked = build_qubo_numeric(net, params, state, gamma)
-        assert blocked.linear.tobytes() == whole.linear.tobytes()
-        assert blocked.coupling.tobytes() == whole.coupling.tobytes()
-        assert blocked.offset == whole.offset
+        net = LocationNetwork(net.populations, net.weights + np.diag(rng.uniform(0.0, 1.0, m)))
+        shut = simulate(net, params, state, np.ones(m, dtype=np.int8), 1)
+        opened = simulate(net, params, state, np.zeros(m, dtype=np.int8), 1)
+        b, o = shut.infected[1].tolist(), opened.infected[1].tolist()
+        y1 = [0.0] * m if kind is ModelKind.SIS else shut.removed[1].tolist()
+        wb = (net.weights @ shut.infected[1]).tolist()
+        w, n = net.weights.tolist(), net.populations.tolist()
+        lam, mu = params.lam, params.mu
+
+        def x2(i, force, x):
+            susceptible = n[i] - x[i] if kind is ModelKind.SIS else n[i] - x[i] - y1[i]
+            return force * ((lam / n[i]) * susceptible) + (1.0 - mu) * x[i]
+
+        want = []
+        for i in range(m):
+            d = o[i] - b[i]
+            alone = o[i] + wb[i] + w[i][i] * d
+            want.append(d + (x2(i, alone, o) - x2(i, b[i], b)) - gamma * n[i])
+        q = build_qubo_numeric(net, params, state, gamma)
+        assert q.linear.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
-    def test_default_blocks_match_one_block_on_the_m300_study_network(self, kind, monkeypatch):
+    def test_simulated_anchors_on_the_m300_study_network(self, kind):
         # the gravity study network of criterion 7: rate at 0.9 of the
         # invariance bound with r0 = 3, five seeded sites, state at t = 10
         net = generate_synthetic(300, "gravity", 2024)
@@ -203,14 +218,14 @@ class TestNumericBuilder:
         x0[:5] = 1e-3 * net.populations[:5]
         y0 = np.zeros(net.m) if kind is ModelKind.SIR else None
         state = simulate(net, params, EpidemicState(x0, y0), None, 10).state_at(10)
-        blocked = build_qubo_numeric(net, params, state, 1e-5)
-        rows = 1 + net.m  # the anchors; pair couplings are not simulated in blocks
-        assert qubo_module.NUMERIC_BLOCK_ELEMENTS // net.m < rows  # several blocks
-        monkeypatch.setattr(qubo_module, "NUMERIC_BLOCK_ELEMENTS", rows * net.m)
-        whole = build_qubo_numeric(net, params, state, 1e-5)
-        assert blocked.linear.tobytes() == whole.linear.tobytes()
-        assert blocked.coupling.tobytes() == whole.coupling.tobytes()
-        assert blocked.offset == whole.offset
+        gamma = 1e-5
+        q = build_qubo_numeric(net, params, state, gamma)
+        # row 0 isolates every location (z = 0), row i + 1 all but i (z = e_i)
+        controls = 1.0 - np.eye(net.m + 1, net.m, -1)
+        g = batch_infection_cost(net, params, state, controls, 2)
+        assert q.offset == float(g[0] + gamma * net.populations.sum())
+        anchors = g[1:] - g[0] - gamma * net.populations
+        assert np.abs(q.linear - anchors).max() <= 1e-12 * np.abs(anchors).max()
 
     @settings(max_examples=60, deadline=None)
     @given(
