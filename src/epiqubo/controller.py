@@ -12,7 +12,6 @@ reproducible while the solver randomness stays decorrelated across steps.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from .epinet import (
     LocationNetwork,
     ModelKind,
     Trajectory,
+    _record,
     check_state,
     invariance_bound,
     step_sis,
@@ -171,19 +171,6 @@ def _advance(
     return EpidemicState(x, y)
 
 
-@contextmanager
-def _per_step_arrays(steps: int):
-    """Turn a failed allocation of per-step arrays into a ValueError naming
-    ``steps``: numpy raises MemoryError for an array the host cannot hold
-    and ValueError for a shape it cannot address."""
-    try:
-        yield
-    except (MemoryError, ValueError) as exc:
-        raise ValueError(
-            f"steps={steps} needs per-step arrays that cannot be allocated ({exc})"
-        ) from exc
-
-
 def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
     """Apply ``plan(t, state)`` and advance, ``cfg.steps`` times, recording states."""
     net = cfg.network
@@ -195,22 +182,12 @@ def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
         )
     check_state(state0, net, cfg.kind)
     params = cfg.params
-    with _per_step_arrays(cfg.steps):
-        controls = np.zeros((cfg.steps, net.m), dtype=np.int8)
-        xs = np.empty((cfg.steps + 1, net.m))
-        ys = None if state0.removed is None else np.empty_like(xs)
-    xs[0] = state0.infected
-    if ys is not None:
-        ys[0] = state0.removed
-    state = state0
-    for t in range(cfg.steps):
+
+    def advance(t: int, state: EpidemicState):
         u = plan(t, state)
-        state = _advance(state, u, net, params, cfg.force, t)
-        controls[t] = u
-        xs[t + 1] = state.infected
-        if ys is not None:
-            ys[t + 1] = state.removed
-    return Trajectory(xs, controls, ys)
+        return u, _advance(state, u, net, params, cfg.force, t)
+
+    return _record(state0, cfg.steps, advance)
 
 
 def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLog:
@@ -222,10 +199,9 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
     restricted objective, ``wall_times`` the fixing plus the solve, and
     ``objectives`` the full objective at the applied plan.
     """
-    with _per_step_arrays(cfg.steps):
-        objectives = np.zeros(cfg.steps)
-        wall_times = np.zeros(cfg.steps)
-        evaluations = np.zeros(cfg.steps, dtype=np.int64)
+    objectives: list[float] = []
+    wall_times: list[float] = []
+    evaluations: list[int] = []
 
     def plan(t: int, state: EpidemicState) -> np.ndarray:
         q = build_qubo(cfg.network, cfg.params, state, cfg.gamma, cfg.builder)
@@ -234,13 +210,15 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
             result = _fix_and_solve(q, cfg.solver, step_cfg)
         except Exception as exc:
             raise RuntimeError(f"solver failed at step {t}: {exc}") from exc
-        objectives[t] = result.objective
-        wall_times[t] = result.wall_time
-        evaluations[t] = result.evaluations
+        objectives.append(result.objective)
+        wall_times.append(result.wall_time)
+        evaluations.append(result.evaluations)
         return to_control(result.z_best)
 
     traj = _run_loop(cfg, state0, plan)
-    return ControlLog(traj, objectives, wall_times, evaluations)
+    return ControlLog(
+        traj, np.array(objectives), np.array(wall_times), np.array(evaluations, dtype=np.int64)
+    )
 
 
 def run_uncontrolled_baseline(cfg: ScenarioConfig, state0: EpidemicState) -> Trajectory:

@@ -4,6 +4,7 @@ CSV schemas (UTF-8, header row required):
     edges.csv       from,to,weight          directed, ingested as-is
     population.csv  location,name,population
     cases.csv       location,infected[,removed]
+    trajectory.csv  step,total,loc_0,...,loc_{M-1}   read back by ``metrics``
 
 Location references in edge and case rows may use either the ``location``
 identifier or the ``name`` from the population file; row order in the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import islice
@@ -74,16 +76,20 @@ class NetworkFiles:
     cases: str | Path | None = None
 
 
-def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | None = None):
+def _read_csv_rows(
+    path: str | Path,
+    expected: list[str],
+    optional: list[str] | Callable[[int], list[str]] | None = None,
+):
     """Yield ``(first_row_number, {column: (field, ...)})`` for up to
     ``_CSV_CHUNK_ROWS`` non-blank rows at a time, after checking the header:
-    the expected columns first, then optional ones, none repeated.  Blank
+    the expected columns first, then optional ones (a list, or a function of
+    the header's column count that returns one), none repeated.  Blank
     lines, row numbers, field counts and quoting as the module docstring
     says; a row with the wrong field count or broken quoting raises when its
     chunk is read, the earlier such row first.  The last chunk holds fewer
     rows than a full one, so a file without rows yields one empty chunk that
     still names the header's columns."""
-    optional = optional or []
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, strict=True)
@@ -93,7 +99,7 @@ def _read_csv_rows(path: str | Path, expected: list[str], optional: list[str] | 
             raise ValueError(f"{path}: row 1: {exc}") from None
         if header is None:
             raise ValueError(f"{path}: empty file, expected header {expected}")
-        allowed = expected + optional
+        allowed = expected + (optional(len(header)) if callable(optional) else optional or [])
         if (
             header[: len(expected)] != expected
             or any(col not in allowed for col in header)
@@ -486,16 +492,28 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 
 def read_trajectory_totals(path: str | Path) -> np.ndarray:
-    """Aggregate infected per step from a trajectory CSV."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or reader.fieldnames[:2] != ["step", "total"]:
-            raise ValueError(f"{path}: expected a trajectory CSV with 'step,total,...' header")
-        totals = [float(row["total"]) for row in reader]
-    if not totals:
+    """Aggregate infected per step from a trajectory CSV as
+    ``trajectory_csv_text`` writes it; every total must be a finite,
+    nonnegative number."""
+    parts = []
+    chunks = _read_csv_rows(
+        path, ["step", "total"], lambda width: [f"loc_{i}" for i in range(width - 2)]
+    )
+    with _field_counts_first(chunks):
+        for first_row, cols in chunks:
+            values, bad = _floats(cols["total"])
+            failed = np.flatnonzero(~(np.isfinite(values[:bad]) & (values[:bad] >= 0)))
+            k = int(failed[0]) if len(failed) else bad
+            if k < len(values):
+                raise ValueError(
+                    f"{path}: total must be a finite nonnegative number, got "
+                    f"{cols['total'][k]!r} (row {first_row + k})"
+                )
+            parts.append(values)
+    totals = np.concatenate(parts)
+    if not totals.size:
         raise ValueError(f"{path}: no rows")
-    return np.asarray(totals)
+    return totals
 
 
 def write_run_report(

@@ -15,7 +15,9 @@ The SIS and SIR updates are written once, in the array kernel
 and ``step_sir`` validate one state and call it, and the batched cost
 iterates it for brute force and for the numeric builder's z = 0 probe.  The
 numeric builder applies ``_local_update`` alone to the step-2 entries its
-other probes perturb.
+other probes perturb.  One loop, ``_record``, records every run:
+``simulate`` and the controller's controlled and baseline runs pass it
+their own per-step advance.
 """
 
 from __future__ import annotations
@@ -314,14 +316,37 @@ def step_sir(
 
 
 def _normalize_schedule(controls, steps: int, m: int) -> np.ndarray:
+    """One validated control vector for None or a 1-D control, else the rows."""
     if controls is None:
-        return np.zeros((steps, m), dtype=np.int8)
+        return np.zeros(m, dtype=np.int8)
     arr = np.asarray(controls)
     if arr.ndim == 1:
-        return np.tile(as_bits(arr, m), (steps, 1))
+        return as_bits(arr, m)
     if arr.shape[0] != steps:
         raise ValueError(f"schedule has {arr.shape[0]} controls for {steps} steps")
     return np.stack([as_bits(arr[t], m) for t in range(steps)])
+
+
+def _record(state0: EpidemicState, steps: int, advance) -> Trajectory:
+    """Record ``advance(t, state) -> (u, next_state)`` for t < ``steps``.  The
+    arrays are allocated first; numpy's MemoryError (the host cannot hold
+    them) or ValueError (it cannot address them) becomes one naming steps."""
+    try:
+        controls = np.zeros((steps, state0.m), dtype=np.int8)
+        xs = np.empty((steps + 1, state0.m))
+        ys = None if state0.removed is None else np.empty_like(xs)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"steps={steps} needs per-step arrays that cannot be allocated ({exc})"
+        ) from exc
+    state = state0
+    for t in range(steps + 1):
+        xs[t] = state.infected
+        if ys is not None:
+            ys[t] = state.removed
+        if t < steps:
+            controls[t], state = advance(t, state)
+    return Trajectory(xs, controls, ys)
 
 
 def simulate(
@@ -335,25 +360,21 @@ def simulate(
 
     ``controls`` may be a (steps, M) schedule, a single length-M vector
     applied at every step, or None for the uncontrolled run.  The function
-    is pure: identical inputs give bit-identical trajectories.
+    is pure: identical inputs give bit-identical trajectories.  A step
+    count whose per-step arrays cannot be allocated is refused with a
+    ValueError naming ``steps`` before any step is taken.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     check_state(state0, net, params.kind)
     schedule = _normalize_schedule(controls, steps, net.m)
     step = step_sis if params.kind is ModelKind.SIS else step_sir
-    xs = np.empty((steps + 1, net.m))
-    xs[0] = state0.infected
-    ys = None if state0.removed is None else np.empty_like(xs)
-    if ys is not None:
-        ys[0] = state0.removed
-    state = state0
-    for t in range(steps):
-        state = step(state, net, params, schedule[t])
-        xs[t + 1] = state.infected
-        if ys is not None:
-            ys[t + 1] = state.removed
-    return Trajectory(xs, schedule, ys)
+
+    def advance(t: int, state: EpidemicState):
+        u = schedule if schedule.ndim == 1 else schedule[t]
+        return u, step(state, net, params, u)
+
+    return _record(state0, steps, advance)
 
 
 def cost(traj: Trajectory, u, gamma: float, net: LocationNetwork) -> float:

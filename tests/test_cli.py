@@ -416,6 +416,45 @@ class TestMetricsCommand:
         assert payload["peak_reduction_pct"] == 0.0
 
 
+class TestMetricsRefusesMalformedCsv:
+    """A malformed trajectory CSV exits 1 with one line naming its row."""
+
+    GOOD = "step,total,loc_0,loc_1\n0,3.0,1.0,2.0\n1,2.0,1.0,1.0\n"
+
+    def metrics(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text(self.GOOD, encoding="utf-8")
+        code = cli_dispatch(["metrics", "--controlled", str(bad), "--baseline", str(good)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+        return lines[0]
+
+    def test_short_row(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total\n0,5.0\n1\n")
+        assert line.endswith("row 3 has 1 fields, expected 2")
+
+    def test_total_not_a_number(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total\n0,5.0\n1,abc\n")
+        assert line.endswith("total must be a finite nonnegative number, got 'abc' (row 3)")
+
+    def test_long_row(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total\n0,5.0,7\n1,2.0\n")
+        assert line.endswith("row 2 has 3 fields, expected 2")
+
+    def test_nan_total(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total\n0,5.0\n1,nan\n")
+        assert line.endswith("total must be a finite nonnegative number, got 'nan' (row 3)")
+
+    def test_negative_total(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total\n0,2.0\n1,-4.0\n")
+        assert line.endswith("total must be a finite nonnegative number, got '-4.0' (row 3)")
+
+
 class TestBatch:
     def test_scenario_file_runs_and_is_rerunnable(self, workspace, tmp_path):
         scen = tmp_path / "alpha.scenario"

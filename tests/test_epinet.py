@@ -275,7 +275,47 @@ class TestSimulate:
             simulate(two_node, params, EpidemicState([150.0, 0.0]), None, 1)
 
 
+class TestRecorder:
+    """``simulate`` and the controller record runs through one loop."""
+
+    @pytest.mark.parametrize("controls", [None, np.array([1, 0])])
+    def test_unaddressable_step_count_names_steps(self, two_node, controls):
+        params = EpidemicParams(ModelKind.SIS, 0.2, 0.1)
+        with pytest.raises(ValueError, match=f"steps={2**62} needs per-step arrays"):
+            simulate(two_node, params, EpidemicState([1.0, 0.0]), controls, 2**62)
+
+    @pytest.mark.parametrize("kind", [ModelKind.SIS, ModelKind.SIR])
+    def test_constant_control_equals_its_schedule(self, rng, kind):
+        net, params, state, _ = random_instance(rng, kind, 9)
+        u = rng.integers(0, 2, size=9)
+        constant = simulate(net, params, state, u, 25)
+        scheduled = simulate(net, params, state, np.tile(u, (25, 1)), 25)
+        assert constant.infected.tobytes() == scheduled.infected.tobytes()
+        assert constant.controls.tobytes() == scheduled.controls.tobytes()
+        if kind is ModelKind.SIR:
+            assert constant.removed.tobytes() == scheduled.removed.tobytes()
+
+
 class TestPositiveInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        kind=st.sampled_from([ModelKind.SIS, ModelKind.SIR]),
+        share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_random_schedules_stay_in_box(self, seed, m, kind, share):
+        rng = np.random.default_rng(seed)
+        net, params, state, _ = random_instance(rng, kind, m)
+        params = EpidemicParams(kind, share * invariance_bound(net), params.mu)
+        schedule = rng.integers(0, 2, size=(40, m))
+        traj = simulate(net, params, state, schedule, 40)
+        assert np.all(traj.infected >= 0.0)
+        assert np.all(traj.infected <= net.populations)
+        if kind is ModelKind.SIR:
+            assert np.all(traj.removed >= 0.0)
+            assert np.all(traj.infected + traj.removed <= net.populations)
+
     def test_thousand_step_runs_stay_in_box(self, rng):
         for _ in range(20):
             kind = ModelKind.SIS if rng.random() < 0.5 else ModelKind.SIR
