@@ -15,7 +15,11 @@ than its header is refused, and so is broken quoting (a quote left open, or
 text after a closing quote), as the ``csv`` module's strict mode reads it;
 those refusals win over a bad value anywhere in the file.  Files are read
 ``_CSV_CHUNK_ROWS`` rows at a time and only arrays are kept between chunks,
-so memory follows the M x M weight matrix, not the size of the file.
+so memory follows the M x M weight matrix, not the size of the file.  One
+parser, ``qubo._parsed``, reads every numeric column up to its first bad
+field, and the loaders name the first failing row with its first failing
+check.  The network and cases writers end lines with CRLF, the ``csv``
+module's default; trajectory CSVs end them with LF.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -29,13 +33,14 @@ import json
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
 
 from .controller import ControlLog, MetricsReport
 from .epinet import EpidemicState, LocationNetwork, ModelKind, Trajectory
+from .qubo import _parsed, _repeats
 from .solvers import SolverConfig
 
 __all__ = [
@@ -147,22 +152,21 @@ def _load_populations(path: str | Path):
     chunks = _read_csv_rows(path, ["location", "name", "population"])
     with _field_counts_first(chunks):
         for _, cols in chunks:
-            for raw_loc, raw_name, raw_pop in zip(cols["location"], cols["name"], cols["population"]):
-                idx = len(populations)
+            pops, bad = _parsed(cols["population"], float)
+            for k, (raw_loc, raw_name) in enumerate(zip(cols["location"], cols["name"])):
+                idx = len(names)
                 loc = raw_loc.strip()
                 name = raw_name.strip()
-                try:
-                    pop = float(raw_pop)
-                except ValueError:
-                    raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
-                if pop <= 0:
+                if k == bad:
+                    raise ValueError(f"{path}: bad population {cols['population'][k]!r} for {loc!r}")
+                if pops[k] <= 0:
                     raise ValueError(f"{path}: population must be positive at location {loc!r}")
-                for key in {loc, name}:
+                for key in dict.fromkeys((loc, name)):  # the id first, in file order
                     if key in resolver and resolver[key] != idx:
                         raise ValueError(f"{path}: duplicate location reference {key!r}")
                     resolver[key] = idx
-                populations.append(pop)
                 names.append(name)
+            populations += pops
     if not populations:
         raise ValueError(f"{path}: no locations defined")
     return np.asarray(populations), names, resolver
@@ -173,23 +177,6 @@ def _resolve(ref: str, resolver: dict[str, int], path, rownum: int) -> int:
     if key not in resolver:
         raise ValueError(f"{path}: unknown location reference {key!r} (row {rownum})")
     return resolver[key]
-
-
-def _floats(column) -> tuple[np.ndarray, int]:
-    """Parse a column with ``float``. Returns the values and the index of the
-    first field that does not parse (``len(column)`` when all do); the
-    values from that index on read 0."""
-    values = np.zeros(len(column))
-    try:
-        values[:] = list(map(float, column))
-        return values, len(column)
-    except ValueError:
-        for k, raw in enumerate(column):
-            try:
-                values[k] = float(raw)
-            except ValueError:
-                return values, k
-        raise
 
 
 def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarray:
@@ -203,15 +190,13 @@ def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarra
             src, dst, raw = cols["from"], cols["to"], cols["weight"]
             i = np.array([resolver.get(s.strip(), -1) for s in src], dtype=np.intp)
             j = np.array([resolver.get(s.strip(), -1) for s in dst], dtype=np.intp)
-            w, bad = _floats(raw)
+            values, bad = _parsed(raw, float)
+            w = np.array(values, dtype=np.float64)
             unknown = (i < 0) | (j < 0)
             key = np.where(unknown, m * m, i * m + j)
-            # a row repeats a pair loaded from an earlier chunk or resolved
-            # by an earlier row of this one
-            first_copy = np.zeros(len(key), dtype=bool)
-            first_copy[np.unique(key, return_index=True)[1]] = True
-            repeat = seen[key] | ~first_copy
-            failed = unknown | (i == j) | repeat | (w < 0)
+            repeat = _repeats(seen, key)
+            failed = unknown | (i == j) | repeat
+            failed[:bad] |= w < 0
             first = min(int(np.argmax(failed)) if failed.any() else len(key), bad)
             if first < len(key):
                 # the first failing row in file order, with its first failing check
@@ -242,25 +227,22 @@ def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarr
             locs = cols["location"]
             if "removed" in cols and removed is None:
                 removed = np.zeros(m)
-            rems = cols.get("removed", [""] * len(locs))
-            for rownum, (raw_loc, raw_inf, raw_rem) in enumerate(
-                zip(locs, cols["infected"], rems), start=first_row
-            ):
+            raw_infs, raw_rems = cols["infected"], cols.get("removed", [""] * len(locs))
+            infs, bad_inf = _parsed(raw_infs, float)
+            rems, bad_rem = _parsed(raw_rems, lambda raw: float(raw) if raw else 0.0)
+            for k, raw_loc in enumerate(locs):
+                rownum = first_row + k
                 idx = _resolve(raw_loc, resolver, path, rownum)
-                try:
-                    inf = float(raw_inf)
-                except ValueError:
-                    raise ValueError(f"{path}: bad infected count {raw_inf!r} (row {rownum})")
+                if k == bad_inf:
+                    raise ValueError(f"{path}: bad infected count {raw_infs[k]!r} (row {rownum})")
+                inf = infs[k]
                 if inf < 0:
                     raise ValueError(f"{path}: negative infected count at row {rownum}")
-                rem = 0.0
-                if raw_rem:
-                    try:
-                        rem = float(raw_rem)
-                    except ValueError:
-                        raise ValueError(f"{path}: bad removed count {raw_rem!r} (row {rownum})")
-                    if rem < 0:
-                        raise ValueError(f"{path}: negative removed count at row {rownum}")
+                if k == bad_rem:
+                    raise ValueError(f"{path}: bad removed count {raw_rems[k]!r} (row {rownum})")
+                rem = rems[k]
+                if rem < 0:
+                    raise ValueError(f"{path}: negative removed count at row {rownum}")
                 if inf + rem > populations[idx]:
                     raise ValueError(f"cases exceed population at location {idx}")
                 infected[idx] = inf
@@ -353,36 +335,39 @@ def write_network_csvs(
     with pop_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["location", "name", "population"])
-        for i in range(net.m):
-            writer.writerow([i, names[i], repr(float(net.populations[i]))])
+        writer.writerows(
+            (i, names[i], repr(pop)) for i, pop in enumerate(net.populations.tolist())
+        )
     edges_path = out / "edges.csv"
     with edges_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["from", "to", "weight"])
-        for i in range(net.m):
-            for j in range(net.m):
-                if net.weights[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(net.weights[i, j]))])
+        for i, row in enumerate(net.weights):
+            j = np.flatnonzero(row)
+            writer.writerows(zip([i] * len(j), j.tolist(), map(repr, row[j].tolist())))
     return edges_path, pop_path
 
 
 def write_cases_csv(
     path: str | Path, infected, removed=None
 ) -> Path:
-    """Emit a cases.csv for the given arrays (all locations, explicit zeros)."""
+    """Emit a cases.csv for the given arrays (all locations, explicit zeros).
+    A ``removed`` array of another shape than ``infected`` is refused before
+    the file is opened."""
     path = Path(path)
     infected = np.asarray(infected, dtype=np.float64)
+    columns = {"infected": infected}
+    if removed is not None:
+        removed = np.asarray(removed, dtype=np.float64)
+        if removed.shape != infected.shape:
+            raise ValueError(
+                f"removed has shape {removed.shape}, infected has shape {infected.shape}"
+            )
+        columns["removed"] = removed
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if removed is None:
-            writer.writerow(["location", "infected"])
-            for i, x in enumerate(infected):
-                writer.writerow([i, repr(float(x))])
-        else:
-            removed = np.asarray(removed, dtype=np.float64)
-            writer.writerow(["location", "infected", "removed"])
-            for i, x in enumerate(infected):
-                writer.writerow([i, repr(float(x)), repr(float(removed[i]))])
+        writer.writerow(["location", *columns])
+        writer.writerows(zip(count(), *(map(repr, c.tolist()) for c in columns.values())))
     return path
 
 
@@ -501,10 +486,11 @@ def read_trajectory_totals(path: str | Path) -> np.ndarray:
     )
     with _field_counts_first(chunks):
         for first_row, cols in chunks:
-            values, bad = _floats(cols["total"])
-            failed = np.flatnonzero(~(np.isfinite(values[:bad]) & (values[:bad] >= 0)))
+            parsed, bad = _parsed(cols["total"], float)
+            values = np.array(parsed, dtype=np.float64)
+            failed = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
             k = int(failed[0]) if len(failed) else bad
-            if k < len(values):
+            if k < len(cols["total"]):
                 raise ValueError(
                     f"{path}: total must be a finite nonnegative number, got "
                     f"{cols['total'][k]!r} (row {first_row + k})"

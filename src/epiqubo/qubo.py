@@ -258,8 +258,12 @@ def build_qubo_numeric(
 
     The compiled dynamics are the unclamped ones; under ``force`` the
     controller clamps the state after it applies a step.  Works for both SIS
-    and SIR; the model kind is taken from ``params``.
+    and SIR; the model kind is taken from ``params``.  A start state that
+    ``check_state`` refuses for that kind (wrong location count, a removed
+    compartment that does not fit the model, counts above the populations)
+    is refused before any array work.
     """
+    check_state(state0, net, params.kind)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     m = net.m
@@ -410,11 +414,13 @@ def solve_bruteforce_problem1(
 
     Ties break toward the lexicographically smallest control.  Reference
     oracle for end-to-end checks of the compiled objectives; refuses more
-    than 25 locations.
+    than 25 locations, and then a start state that ``check_state`` refuses
+    for the model kind of ``params``.
     """
     m = net.m
     if m > ENUM_MAX_BITS:
         raise ValueError(f"{m} locations exceed the enumeration limit of {ENUM_MAX_BITS}")
+    check_state(state0, net, params.kind)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     total = 1 << m
@@ -489,6 +495,14 @@ def _parsed(column, parse) -> tuple[list, int]:
         raise
 
 
+def _repeats(seen: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Which entries of ``key`` repeat a key marked in ``seen`` (read from
+    an earlier chunk) or an earlier entry of ``key`` itself."""
+    first_copy = np.zeros(len(key), dtype=bool)
+    first_copy[np.unique(key, return_index=True)[1]] = True
+    return seen[key] | ~first_copy
+
+
 def _indices(values: list[int], m: int) -> np.ndarray:
     """Parsed indices as an array; one too large for it is out of range
     anyway, so every out-of-range index then reads -1."""
@@ -558,11 +572,7 @@ def import_qubo(text: str) -> QuboProblem:
         out_of_range = (i < 0) | (i >= m) | (j < 0) | (j >= m)
         lower = i > j
         key = np.where(out_of_range, m * m, i * m + j)
-        # a line repeats an entry read from an earlier chunk or by an
-        # earlier line of this one
-        first_copy = np.zeros(len(key), dtype=bool)
-        first_copy[np.unique(key, return_index=True)[1]] = True
-        repeat = seen[key] | ~first_copy
+        repeat = _repeats(seen, key)
         failed = out_of_range | lower | repeat
         first = int(np.argmax(failed)) if failed.any() else parsed
         if first < len(rows):

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epiqubo
 from epiqubo import import_qubo, solve_bruteforce_problem1
 from epiqubo.cli import cli_dispatch
 from epiqubo.dataio import NetworkFiles, load_network
@@ -188,6 +193,23 @@ class TestGenerateExport:
             "got ['from', 'to', 'weight', 'weight']"
         ) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_duplicate_population_message_names_the_id_whatever_the_hash_seed(self, tmp_path):
+        # both references of row 3 repeat row 2's; the id is checked first
+        pop = tmp_path / "population.csv"
+        pop.write_text("location,name,population\n0,a,10\n0,a,5\n", encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("from,to,weight\n", encoding="utf-8")
+        src = str(Path(epiqubo.__file__).resolve().parents[1])
+        for seed in range(1, 9):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "epiqubo.cli", "export-network", "--network", str(edges),
+                 "--population", str(pop), "--out", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: {pop}: duplicate location reference '0'\n"
 
     def test_unservable_size_exits_one(self, tmp_path, capsys):
         # a 10^7 x 10^7 weight matrix cannot be allocated, so it is refused at once

@@ -490,6 +490,89 @@ class TestRoundTrip:
         assert np.array_equal(back_y, removed)
 
 
+def _reference_network_csvs(net, out, names=None):
+    """The per-cell network writer that the row writer replaced, kept to pin
+    its bytes."""
+    if names is None:
+        names = [f"loc_{i}" for i in range(net.m)]
+    with (out / "population.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["location", "name", "population"])
+        for i in range(net.m):
+            writer.writerow([i, names[i], repr(float(net.populations[i]))])
+    with (out / "edges.csv").open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["from", "to", "weight"])
+        for i in range(net.m):
+            for j in range(net.m):
+                if net.weights[i, j] != 0.0:
+                    writer.writerow([i, j, repr(float(net.weights[i, j]))])
+
+
+def _reference_cases_csv(path, infected, removed=None):
+    """The per-row cases writer that the row writer replaced."""
+    infected = np.asarray(infected, dtype=np.float64)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        if removed is None:
+            writer.writerow(["location", "infected"])
+            for i, x in enumerate(infected):
+                writer.writerow([i, repr(float(x))])
+        else:
+            removed = np.asarray(removed, dtype=np.float64)
+            writer.writerow(["location", "infected", "removed"])
+            for i, x in enumerate(infected):
+                writer.writerow([i, repr(float(x)), repr(float(removed[i]))])
+
+
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, 0.1, -1.5]),
+    st.floats(0.0, 10.0),
+)
+CSV_NAMES = st.text(alphabet=st.sampled_from(['a', 'b', ',', '"', ' ', 'é', '\r', '\n']), max_size=6)
+
+
+class TestWriterBytes:
+    """The row writers give the bytes of test-local copies of the per-cell
+    and per-row writers they replaced, CRLF line ends included."""
+
+    @given(data=st.data(), m=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_network_csvs(self, data, m):
+        populations = data.draw(st.lists(st.floats(1.0, 1e7), min_size=m, max_size=m))
+        weights = data.draw(st.lists(EDGE_VALUES, min_size=m * m, max_size=m * m))
+        net = LocationNetwork(populations, np.reshape(weights, (m, m)))
+        names = data.draw(st.none() | st.lists(CSV_NAMES, min_size=m, max_size=m))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new", Path(tmp) / "old"
+            old.mkdir()
+            write_network_csvs(net, new, names)
+            _reference_network_csvs(net, old, names)
+            for name in ("edges.csv", "population.csv"):
+                assert (new / name).read_bytes() == (old / name).read_bytes()
+            assert (new / "edges.csv").read_bytes().endswith(b"\r\n")
+
+    @given(data=st.data(), m=st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_cases_csv(self, data, m):
+        counts = st.lists(EDGE_VALUES, min_size=m, max_size=m)
+        infected = data.draw(counts)
+        removed = data.draw(st.none() | counts)
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            write_cases_csv(new, infected, removed)
+            _reference_cases_csv(old, infected, removed)
+            assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("removed", [[0.0], [0.0, 1.0, 2.0]], ids=["shorter", "longer"])
+    def test_cases_refuse_removed_of_another_length(self, tmp_path, removed):
+        path = tmp_path / "cases.csv"
+        with pytest.raises(ValueError) as info:
+            write_cases_csv(path, [5.0, 3.0], removed)
+        assert str(info.value) == f"removed has shape ({len(removed)},), infected has shape (2,)"
+        assert not path.exists()
+
+
 class TestSyntheticNetworks:
     def test_single_location(self):
         net = generate_synthetic(1, "gravity", 0)

@@ -480,6 +480,35 @@ class TestBruteForce:
             assert all(b <= a + 1e-9 for a, b in zip(masses, masses[1:]))
 
 
+class TestStartStateRefused:
+    """The numeric builder and the brute-force oracle refuse the start states
+    that the model refuses, before any array work."""
+
+    @pytest.mark.parametrize(
+        "compile_", [build_qubo_numeric, solve_bruteforce_problem1], ids=["numeric", "oracle"]
+    )
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (EpidemicState([10.0, 0.0], [0.0, 0.0]), "SIS state must not carry a removed compartment"),
+            (EpidemicState([500.0, 0.0]), "infected counts exceed local populations"),
+            (EpidemicState([10.0, 0.0, 0.0]), "state has 3 locations, network has 2"),
+        ],
+        ids=["removed-under-sis", "above-population", "three-entries"],
+    )
+    def test_refused_with_the_model_message(self, two_node_instance, compile_, state, message):
+        net, params, _, gamma = two_node_instance
+        with pytest.raises(ValueError) as info:
+            compile_(net, params, state, gamma)
+        assert str(info.value) == message
+
+    def test_oracle_checks_the_enumeration_limit_first(self):
+        net = LocationNetwork(np.ones(26) * 10.0, np.zeros((26, 26)))
+        params = EpidemicParams(ModelKind.SIS, 0.1, 0.1)
+        with pytest.raises(ValueError, match="26 locations exceed the enumeration limit of 25"):
+            solve_bruteforce_problem1(net, params, EpidemicState(np.zeros(3)), 0.01)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         q = QuboProblem([-1.0, 2.0], {(0, 1): 3.0}, offset=0.5)
