@@ -164,7 +164,11 @@ def _advance(
     clamped = int(np.count_nonzero(x != nxt.infected))
     y = nxt.removed
     if y is not None:
-        y = np.clip(y, 0.0, net.populations - x)
+        # n - x can round up so that x + (n - x) > n; one step down is then
+        # enough for x + y <= n, the bound every builder's state check applies
+        room = net.populations - x
+        room = np.where(x + room > net.populations, np.nextafter(room, 0.0), room)
+        y = np.clip(y, 0.0, room)
         clamped += int(np.count_nonzero(y != nxt.removed))
     if clamped:
         logger.warning("step %d: clamped %d state entries into [0, n_i]", step_index, clamped)

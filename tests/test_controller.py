@@ -75,6 +75,23 @@ class TestConfigValidation:
         assert np.all(traj.infected <= net.populations)
         assert any("clamped" in record.message for record in caplog.records)
 
+    @pytest.mark.parametrize("builder", ["analytic", "numeric"])
+    def test_clamped_states_pass_the_state_check(self, builder):
+        # on this forced study run, step 25 clamps a removed count to n - x,
+        # and x + (n - x) rounds one unit above n at that location
+        net = generate_synthetic(21, "gravity", 2024)
+        mu = 0.05360848885079544
+        infected = np.zeros(net.m)
+        infected[:5] = 1e-3 * net.populations[:5]
+        removed = np.zeros(net.m)
+        removed[5:8] = 1e-4 * net.populations[5:8]
+        hot = ScenarioConfig(
+            network=net, kind=ModelKind.SIR, lam=infection_rate_from_r0(30.0, mu, net), mu=mu,
+            gamma=1e-5, steps=30, builder=builder, force=True,
+        )
+        traj = run_rolling_horizon(hot, EpidemicState(infected, removed)).trajectory
+        assert np.all(traj.infected + traj.removed <= net.populations)
+
     def test_bad_knobs(self, rng):
         cfg, _ = small_scenario(rng)
         with pytest.raises(ValueError):
