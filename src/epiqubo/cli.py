@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import sys
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="run scenario files, one output directory each")
     p.add_argument("scenarios", nargs="+", help="scenario document paths")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, help="accepted for old command lines and ignored")
     p.set_defaults(func=_cmd_batch)
     return parser
 
@@ -320,10 +319,14 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    payload = compare_totals(
-        dataio.read_trajectory_totals(args.controlled),
-        dataio.read_trajectory_totals(args.baseline),
-    )
+    totals_c, m_c = dataio._trajectory_totals(args.controlled)
+    totals_u, m_u = dataio._trajectory_totals(args.baseline)
+    if m_c != m_u:
+        raise ValueError(
+            f"{args.controlled}: location count {m_c} differs from {m_u} "
+            f"in {args.baseline} (row 1)"
+        )
+    payload = compare_totals(totals_c, totals_u)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -340,27 +343,19 @@ def _cmd_batch(args) -> int:
             )
         documents[stem] = scenario_path
     out_root.mkdir(parents=True, exist_ok=True)
-
-    def run_one(scenario_path: str) -> None:
-        path = Path(scenario_path)
-        values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
-        cfg, state0, echo = _resolve_scenario(values, path.parent)
-        _run_control(cfg, state0, echo, str(out_root / path.stem))
-
     worst = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [(s, pool.submit(run_one, s)) for s in args.scenarios]
-        # report errors in document order, whatever order the scenarios finish
-        # in, each line in one write so that a worker's log record cannot split it
-        for name, future in futures:
-            try:
-                future.result()
-            except (ValueError, OSError) as exc:
-                sys.stderr.write(f"error in {name}: {exc}\n")
-                worst = max(worst, 1)
-            except Exception as exc:
-                sys.stderr.write(f"runtime error in {name}: {exc}\n")
-                worst = max(worst, 2)
+    for name in args.scenarios:
+        path = Path(name)
+        try:
+            values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
+            cfg, state0, echo = _resolve_scenario(values, path.parent)
+            _run_control(cfg, state0, echo, str(out_root / path.stem))
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"error in {name}: {exc}\n")
+            worst = max(worst, 1)
+        except Exception as exc:
+            sys.stderr.write(f"runtime error in {name}: {exc}\n")
+            worst = max(worst, 2)
     return worst
 
 

@@ -478,28 +478,45 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 def read_trajectory_totals(path: str | Path) -> np.ndarray:
     """Aggregate infected per step from a trajectory CSV as
-    ``trajectory_csv_text`` writes it; every total must be a finite,
-    nonnegative number."""
+    ``trajectory_csv_text`` writes it.  Refused, naming the first failing
+    row and, within it, the first failing column: a ``step`` column that
+    does not read 0, 1, 2, ... row by row, and a ``total`` or ``loc_i``
+    value that is not a finite, nonnegative number."""
+    return _trajectory_totals(path)[0]
+
+
+def _trajectory_totals(path: str | Path) -> tuple[np.ndarray, int]:
+    """``read_trajectory_totals`` and the file's number of locations."""
     parts = []
     chunks = _read_csv_rows(
         path, ["step", "total"], lambda width: [f"loc_{i}" for i in range(width - 2)]
     )
     with _field_counts_first(chunks):
         for first_row, cols in chunks:
-            parsed, bad = _parsed(cols["total"], float)
-            values = np.array(parsed, dtype=np.float64)
-            failed = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-            k = int(failed[0]) if len(failed) else bad
-            if k < len(cols["total"]):
-                raise ValueError(
-                    f"{path}: total must be a finite nonnegative number, got "
-                    f"{cols['total'][k]!r} (row {first_row + k})"
+            step0 = first_row - 2  # row 2 holds step 0; blank lines are not numbered
+            steps, k = _parsed(cols["step"], int)
+            k = next((i for i, step in enumerate(steps) if step != step0 + i), k)
+            faults = [(k, "step", f"step must read 0, 1, 2, ...: expected {step0 + k}")]
+            for column, fields in islice(cols.items(), 1, None):
+                parsed, bad = _parsed(fields, float)
+                values = np.array(parsed, dtype=np.float64)
+                failed = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+                faults.append(
+                    (
+                        int(failed[0]) if len(failed) else bad,
+                        column,
+                        f"{column} must be a finite nonnegative number",
+                    )
                 )
-            parts.append(values)
+                if column == "total":
+                    parts.append(values)
+            k, column, what = min(faults, key=lambda fault: fault[0])
+            if k < len(cols["step"]):
+                raise ValueError(f"{path}: {what}, got {cols[column][k]!r} (row {first_row + k})")
     totals = np.concatenate(parts)
     if not totals.size:
         raise ValueError(f"{path}: no rows")
-    return totals
+    return totals, len(cols) - 2
 
 
 def write_run_report(

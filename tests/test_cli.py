@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,87 @@ class TestMetricsRefusesMalformedCsv:
     def test_negative_total(self, tmp_path, capsys):
         line = self.metrics(tmp_path, capsys, "step,total\n0,2.0\n1,-4.0\n")
         assert line.endswith("total must be a finite nonnegative number, got '-4.0' (row 3)")
+
+
+    def test_unparsed_step_and_location_columns(self, tmp_path, capsys):
+        # one location column, a bad step, a bad value, against two locations
+        line = self.metrics(tmp_path, capsys, "step,total,loc_0\nx,2.0,abc\n7,1.0,zz\n")
+        assert line.endswith("step must read 0, 1, 2, ...: expected 0, got 'x' (row 2)")
+
+    @pytest.mark.parametrize("step", ["2", "0", "-1", "1.0"])
+    def test_step_out_of_sequence(self, tmp_path, capsys, step):
+        line = self.metrics(
+            tmp_path, capsys, f"step,total,loc_0,loc_1\n0,3.0,1.0,2.0\n{step},2.0,1.0,1.0\n"
+        )
+        assert line.endswith(f"step must read 0, 1, 2, ...: expected 1, got {step!r} (row 3)")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1.0", ""])
+    def test_location_value_not_finite_nonnegative(self, tmp_path, capsys, value):
+        line = self.metrics(
+            tmp_path, capsys, f"step,total,loc_0,loc_1\n0,3.0,1.0,2.0\n1,2.0,1.0,{value}\n"
+        )
+        assert line.endswith(f"loc_1 must be a finite nonnegative number, got {value!r} (row 3)")
+
+    def test_first_failing_row_is_named(self, tmp_path, capsys):
+        line = self.metrics(
+            tmp_path, capsys, "step,total,loc_0,loc_1\n0,3.0,1.0,-2.0\n1,abc,1.0,1.0\n"
+        )
+        assert line.endswith("loc_1 must be a finite nonnegative number, got '-2.0' (row 2)")
+
+    def test_location_counts_differ(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total,loc_0\n0,3.0,3.0\n1,2.0,2.0\n")
+        assert line.endswith(f"location count 1 differs from 2 in {tmp_path / 'good.csv'} (row 1)")
+
+
+class TestBatchRunsInOrder:
+    """``batch`` runs its documents in the calling thread, in the order given,
+    whatever ``--jobs`` says."""
+
+    NAMES = ("c", "a", "b")
+
+    def documents(self, workspace, tmp_path):
+        docs = []
+        for name, gamma in zip(self.NAMES, ("1e-7", "1e-5", "1e-3")):
+            scen = tmp_path / f"{name}.scenario"
+            scen.write_text(
+                f"model = sir\nlambda = 0.02\nmu = 0.05\ngamma = {gamma}\nsteps = 3\n"
+                f"edges = {workspace['edges']}\npopulation = {workspace['population']}\n"
+                f"cases = {workspace['cases']}\n",
+                encoding="utf-8",
+            )
+            docs.append(str(scen))
+        return docs
+
+    def test_documents_run_in_the_calling_thread_in_argv_order(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def record(cfg, state0, echo, out_dir):
+            calls.append((threading.get_ident(), out_dir))
+
+        monkeypatch.setattr("epiqubo.cli._run_control", record)
+        out = tmp_path / "o"
+        docs = self.documents(workspace, tmp_path)
+        assert cli_dispatch(["batch", *docs, "--out", str(out), "--jobs", "2"]) == 0
+        assert calls == [(threading.get_ident(), str(out / name)) for name in self.NAMES]
+
+    def test_jobs_changes_no_output(self, workspace, tmp_path):
+        docs = self.documents(workspace, tmp_path)
+        outputs = []
+        for k, jobs in enumerate(([], ["--jobs", "1"], ["--jobs", "2"])):
+            out = tmp_path / f"o{k}"
+            assert cli_dispatch(["batch", *docs, "--out", str(out), *jobs]) == 0
+            files = {}
+            for name in self.NAMES:
+                report = json.loads((out / name / "report.json").read_text())
+                report.pop("timing")
+                files[name] = [json.dumps(report)] + [
+                    (out / name / f).read_bytes()
+                    for f in ("trajectory.csv", "baseline.csv", "scenario.resolved")
+                ]
+            outputs.append(files)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestBatch:

@@ -676,3 +676,13 @@ class TestTrajectoryCsv:
         path.write_text(trajectory_csv_text(traj), encoding="utf-8")
         totals = read_trajectory_totals(path)
         assert np.array_equal(totals, traj.totals())
+
+    def test_steps_counted_across_chunks_and_blank_lines(self, tmp_path):
+        rows = [f"{t},1.0,1.0" for t in range(1500)]
+        path = tmp_path / "traj.csv"
+        path.write_text("step,total,loc_0\n\n" + "\n\n".join(rows) + "\n", encoding="utf-8")
+        assert np.array_equal(read_trajectory_totals(path), np.ones(1500))
+        rows[1200] = "1201,1.0,1.0"
+        path.write_text("step,total,loc_0\n\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"expected 1200, got '1201' \(row 1202\)"):
+            read_trajectory_totals(path)
