@@ -17,9 +17,11 @@ those refusals win over a bad value anywhere in the file.  Files are read
 ``_CSV_CHUNK_ROWS`` rows at a time and only arrays are kept between chunks,
 so memory follows the M x M weight matrix, not the size of the file.  One
 parser, ``qubo._parsed``, reads every numeric column up to its first bad
-field, and the loaders name the first failing row with its first failing
-check.  The network and cases writers end lines with CRLF, the ``csv``
-module's default; trajectory CSVs end them with LF.
+field, and one rule, ``qubo._refuse``, orders every refusal after those: the
+first failing row, by its first failing check.  Cases name a location at most
+once, through either alias; a trajectory ``total`` equals its row's ``loc_i``
+sum as ``Trajectory.totals`` sums it.  The writers end network and cases lines
+with CRLF, the ``csv`` module's default, and trajectory lines with LF.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .controller import ControlLog, MetricsReport
 from .epinet import EpidemicState, LocationNetwork, ModelKind, Trajectory
-from .qubo import _parsed, _repeats
+from .qubo import _parsed, _refuse, _repeats
 from .solvers import SolverConfig
 
 __all__ = [
@@ -153,30 +155,28 @@ def _load_populations(path: str | Path):
     with _field_counts_first(chunks):
         for _, cols in chunks:
             pops, bad = _parsed(cols["population"], float)
-            for k, (raw_loc, raw_name) in enumerate(zip(cols["location"], cols["name"])):
-                idx = len(names)
-                loc = raw_loc.strip()
-                name = raw_name.strip()
-                if k == bad:
-                    raise ValueError(f"{path}: bad population {cols['population'][k]!r} for {loc!r}")
-                if pops[k] <= 0:
-                    raise ValueError(f"{path}: population must be positive at location {loc!r}")
-                for key in dict.fromkeys((loc, name)):  # the id first, in file order
-                    if key in resolver and resolver[key] != idx:
-                        raise ValueError(f"{path}: duplicate location reference {key!r}")
-                    resolver[key] = idx
-                names.append(name)
+            locs = [loc.strip() for loc in cols["location"]]
+            start = len(names)
+            names += (name.strip() for name in cols["name"])
+            # a key keeps the first row that names it; a row's id is checked first
+            taken = [next((key for key in pair if resolver.setdefault(key, idx) != idx), None)
+                     for idx, pair in enumerate(zip(locs, names[start:]), start)]
+            _refuse(len(locs), [
+                (bad, lambda k: f"bad population {cols['population'][k]!r} for {locs[k]!r}"),
+                (np.array(pops) <= 0,
+                 lambda k: f"population must be positive at location {locs[k]!r}"),
+                (next((k for k, key in enumerate(taken) if key is not None), len(taken)),
+                 lambda k: f"duplicate location reference {taken[k]!r}"),
+            ], lambda what: ValueError(f"{path}: {what}"))
             populations += pops
     if not populations:
         raise ValueError(f"{path}: no locations defined")
     return np.asarray(populations), names, resolver
 
 
-def _resolve(ref: str, resolver: dict[str, int], path, rownum: int) -> int:
-    key = ref.strip()
-    if key not in resolver:
-        raise ValueError(f"{path}: unknown location reference {key!r} (row {rownum})")
-    return resolver[key]
+def _refs(resolver: dict[str, int], column) -> np.ndarray:
+    """The location index of each reference in ``column``, -1 where unknown."""
+    return np.array([resolver.get(ref.strip(), -1) for ref in column], dtype=np.intp)
 
 
 def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarray:
@@ -186,30 +186,22 @@ def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarra
     seen = np.zeros(m * m + 1, dtype=bool)
     chunks = _read_csv_rows(path, ["from", "to", "weight"])
     with _field_counts_first(chunks):
-        for first_row, cols in chunks:
+        for row0, cols in chunks:
             src, dst, raw = cols["from"], cols["to"], cols["weight"]
-            i = np.array([resolver.get(s.strip(), -1) for s in src], dtype=np.intp)
-            j = np.array([resolver.get(s.strip(), -1) for s in dst], dtype=np.intp)
+            i, j = _refs(resolver, src), _refs(resolver, dst)
             values, bad = _parsed(raw, float)
             w = np.array(values, dtype=np.float64)
             unknown = (i < 0) | (j < 0)
             key = np.where(unknown, m * m, i * m + j)
-            repeat = _repeats(seen, key)
-            failed = unknown | (i == j) | repeat
-            failed[:bad] |= w < 0
-            first = min(int(np.argmax(failed)) if failed.any() else len(key), bad)
-            if first < len(key):
-                # the first failing row in file order, with its first failing check
-                k, rownum = first, first_row + first
-                for ref in (src[k], dst[k]):
-                    _resolve(ref, resolver, path, rownum)
-                if i[k] == j[k]:
-                    raise ValueError(f"{path}: self-loop edge at location {src[k]!r} (row {rownum})")
-                if repeat[k]:
-                    raise ValueError(f"{path}: duplicate edge {src[k]!r}->{dst[k]!r} (row {rownum})")
-                if k == bad:
-                    raise ValueError(f"{path}: bad weight {raw[k]!r} (row {rownum})")
-                raise ValueError(f"{path}: negative weight at row {rownum}")
+            _refuse(len(key), [
+                (unknown, lambda k: "unknown location reference "
+                 f"{(src[k] if i[k] < 0 else dst[k]).strip()!r} (row {row0 + k})"),
+                (i == j, lambda k: f"self-loop edge at location {src[k]!r} (row {row0 + k})"),
+                (_repeats(seen, key),
+                 lambda k: f"duplicate edge {src[k]!r}->{dst[k]!r} (row {row0 + k})"),
+                (bad, lambda k: f"bad weight {raw[k]!r} (row {row0 + k})"),
+                (w < 0, lambda k: f"negative weight at row {row0 + k}"),
+            ], lambda what: ValueError(f"{path}: {what}"))
             seen[key] = True
             weights[i, j] = w
     return weights
@@ -217,38 +209,38 @@ def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarra
 
 def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarray):
     """Read a cases CSV into ``(infected, removed)`` arrays indexed through
-    ``resolver``; ``removed`` is None when the file has no removed column."""
+    ``resolver``; ``removed`` is None when the file has no removed column.
+    After whole-file field counts and quoting, ``qubo._refuse`` names the first
+    failing row by its first failing check: unknown or repeated location (any
+    alias), bad or negative infected, bad or negative removed, excess cases."""
     m = len(populations)
-    infected = np.zeros(m)
-    removed = None
+    infected, removed = np.zeros(m), np.zeros(m)
+    # locations read so far; an unknown reference's -1 indexes the spare last
+    # entry, which is never set, since such a row fails before this check
+    seen = np.zeros(m + 1, dtype=bool)
     chunks = _read_csv_rows(path, ["location", "infected"], optional=["removed"])
     with _field_counts_first(chunks):
-        for first_row, cols in chunks:
-            locs = cols["location"]
-            if "removed" in cols and removed is None:
-                removed = np.zeros(m)
+        for row0, cols in chunks:
+            locs = [loc.strip() for loc in cols["location"]]
             raw_infs, raw_rems = cols["infected"], cols.get("removed", [""] * len(locs))
+            idx = _refs(resolver, locs)
             infs, bad_inf = _parsed(raw_infs, float)
             rems, bad_rem = _parsed(raw_rems, lambda raw: float(raw) if raw else 0.0)
-            for k, raw_loc in enumerate(locs):
-                rownum = first_row + k
-                idx = _resolve(raw_loc, resolver, path, rownum)
-                if k == bad_inf:
-                    raise ValueError(f"{path}: bad infected count {raw_infs[k]!r} (row {rownum})")
-                inf = infs[k]
-                if inf < 0:
-                    raise ValueError(f"{path}: negative infected count at row {rownum}")
-                if k == bad_rem:
-                    raise ValueError(f"{path}: bad removed count {raw_rems[k]!r} (row {rownum})")
-                rem = rems[k]
-                if rem < 0:
-                    raise ValueError(f"{path}: negative removed count at row {rownum}")
-                if inf + rem > populations[idx]:
-                    raise ValueError(f"cases exceed population at location {idx}")
-                infected[idx] = inf
-                if removed is not None:
-                    removed[idx] = rem
-    return infected, removed
+            inf, rem = np.array(infs, dtype=np.float64), np.array(rems, dtype=np.float64)
+            both = min(bad_inf, bad_rem)
+            _refuse(len(locs), [
+                (idx < 0, lambda k: f"unknown location reference {locs[k]!r} (row {row0 + k})"),
+                (_repeats(seen, idx), lambda k: f"repeated location {locs[k]!r} (row {row0 + k})"),
+                (bad_inf, lambda k: f"bad infected count {raw_infs[k]!r} (row {row0 + k})"),
+                (inf < 0, lambda k: f"negative infected count at row {row0 + k}"),
+                (bad_rem, lambda k: f"bad removed count {raw_rems[k]!r} (row {row0 + k})"),
+                (rem < 0, lambda k: f"negative removed count at row {row0 + k}"),
+                (inf[:both] + rem[:both] > populations[idx[:both]],
+                 lambda k: f"cases exceed population at location {idx[k]} (row {row0 + k})"),
+            ], lambda what: ValueError(f"{path}: {what}"))
+            seen[idx] = True
+            infected[idx], removed[idx] = inf, rem
+    return infected, removed if "removed" in cols else None
 
 
 def load_network(files: NetworkFiles):
@@ -478,10 +470,11 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 def read_trajectory_totals(path: str | Path) -> np.ndarray:
     """Aggregate infected per step from a trajectory CSV as
-    ``trajectory_csv_text`` writes it.  Refused, naming the first failing
-    row and, within it, the first failing column: a ``step`` column that
-    does not read 0, 1, 2, ... row by row, and a ``total`` or ``loc_i``
-    value that is not a finite, nonnegative number."""
+    ``trajectory_csv_text`` writes it.  After field counts and quoting,
+    ``qubo._refuse`` names the first failing row by its first failing check:
+    a ``step`` that does not read 0, 1, 2, ... row by row, a ``total`` or
+    ``loc_i`` value that is not a finite, nonnegative number, and a
+    ``total`` other than the sum of its row's ``loc_i`` values."""
     return _trajectory_totals(path)[0]
 
 
@@ -492,27 +485,28 @@ def _trajectory_totals(path: str | Path) -> tuple[np.ndarray, int]:
         path, ["step", "total"], lambda width: [f"loc_{i}" for i in range(width - 2)]
     )
     with _field_counts_first(chunks):
-        for first_row, cols in chunks:
-            step0 = first_row - 2  # row 2 holds step 0; blank lines are not numbered
+        for row0, cols in chunks:
+            step0 = row0 - 2  # row 2 holds step 0; blank lines are not numbered
+            def got(column, what):
+                return lambda k: f"{what(k)}, got {cols[column][k]!r} (row {row0 + k})"
             steps, k = _parsed(cols["step"], int)
             k = next((i for i, step in enumerate(steps) if step != step0 + i), k)
-            faults = [(k, "step", f"step must read 0, 1, 2, ...: expected {step0 + k}")]
+            word = got("step", lambda k: f"step must read 0, 1, 2, ...: expected {step0 + k}")
+            checks = [(k, word)]
+            values = []
             for column, fields in islice(cols.items(), 1, None):
                 parsed, bad = _parsed(fields, float)
-                values = np.array(parsed, dtype=np.float64)
-                failed = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
-                faults.append(
-                    (
-                        int(failed[0]) if len(failed) else bad,
-                        column,
-                        f"{column} must be a finite nonnegative number",
-                    )
-                )
-                if column == "total":
-                    parts.append(values)
-            k, column, what = min(faults, key=lambda fault: fault[0])
-            if k < len(cols["step"]):
-                raise ValueError(f"{path}: {what}, got {cols[column][k]!r} (row {first_row + k})")
+                values.append(np.array(parsed, dtype=np.float64))
+                word = got(column, lambda k, c=column: f"{c} must be a finite nonnegative number")
+                checks += [(bad, word), (~(np.isfinite(values[-1]) & (values[-1] >= 0)), word)]
+            total, *locs = values
+            if locs:  # summed as ``Trajectory.totals`` sums: along the rows of a C-ordered array
+                rows = min(map(len, values))
+                sums = np.column_stack([loc[:rows] for loc in locs]).sum(axis=1)
+                word = got("total", lambda k: f"total must equal the loc_i sum {float(sums[k])!r}")
+                checks.append((sums != total[:rows], word))
+            _refuse(len(cols["step"]), checks, lambda what: ValueError(f"{path}: {what}"))
+            parts.append(total)
     totals = np.concatenate(parts)
     if not totals.size:
         raise ValueError(f"{path}: no rows")

@@ -162,7 +162,7 @@ class Trajectory:
     removed: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.infected, dtype=np.float64)
+        x = np.ascontiguousarray(self.infected, dtype=np.float64)  # so totals() matches metrics
         u = np.asarray(self.controls, dtype=np.int8)
         if x.ndim != 2 or u.ndim != 2:
             raise ValueError("trajectory arrays must be 2-D (time x location)")

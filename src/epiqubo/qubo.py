@@ -503,6 +503,20 @@ def _repeats(seen: np.ndarray, key: np.ndarray) -> np.ndarray:
     return seen[key] | ~first_copy
 
 
+def _refuse(n: int, checks, error=ValueError) -> None:
+    """Raise ``error(word(k))`` for the first failing row k of ``n``, worded by
+    its first failing check.  ``checks`` lists ``(bad, word)`` in check order;
+    ``bad`` masks a prefix of the rows, or is the first failing row or ``n``."""
+    first, word = n, None
+    for bad, message in checks:
+        if isinstance(bad, np.ndarray):
+            bad = int(np.argmax(bad)) if bad.any() else n
+        if bad < first:
+            first, word = bad, message
+    if word is not None:
+        raise error(word(first))
+
+
 def _indices(values: list[int], m: int) -> np.ndarray:
     """Parsed indices as an array; one too large for it is out of range
     anyway, so every out-of-range index then reads -1."""
@@ -517,9 +531,9 @@ def import_qubo(text: str) -> QuboProblem:
 
     The body is read ``_TEXT_CHUNK_LINES`` lines at a time.  Each entry line
     is checked for its token count, integer indices, a coefficient, indices
-    in range, ``i <= j`` and repeats, and the first failing line is named
-    with its first failing check.  A non-finite coefficient or offset is
-    named once the whole document has passed those checks.
+    in range, ``i <= j`` and repeats; ``_refuse`` names the first failing
+    line with its first failing check.  A non-finite coefficient or offset
+    is named once the whole document has passed those checks.
     """
     chunks = _text_chunks(text)
     lines = next(chunks, [])
@@ -570,26 +584,17 @@ def import_qubo(text: str) -> QuboProblem:
         j = _indices(ints_j[:parsed], m)
         v = np.array(values[:parsed], dtype=np.float64)
         out_of_range = (i < 0) | (i >= m) | (j < 0) | (j >= m)
-        lower = i > j
         key = np.where(out_of_range, m * m, i * m + j)
-        repeat = _repeats(seen, key)
-        failed = out_of_range | lower | repeat
-        first = int(np.argmax(failed)) if failed.any() else parsed
-        if first < len(rows):
-            # the first failing line, with its first failing check
-            raw = lines[kept[first]]
-            lineno = first_line + kept[first]
-            if first == n:
-                raise QuboParseError(f"line {lineno}: expected '<i> <j> <value>', got {raw!r}")
-            if first == bad_index:
-                raise QuboParseError(f"line {lineno}: indices must be integers, got {raw!r}")
-            if first == bad_v:
-                raise QuboParseError(f"line {lineno}: bad coefficient, got {raw!r}")
-            if out_of_range[first]:
-                raise QuboParseError(f"line {lineno}: index out of range for M={m}")
-            if lower[first]:
-                raise QuboParseError(f"line {lineno}: indices must satisfy i <= j")
-            raise QuboParseError(f"line {lineno}: duplicate entry ({i[first]}, {j[first]})")
+        def at(k, what):
+            return f"line {first_line + kept[k]}: {what}"
+        _refuse(len(rows), [
+            (n, lambda k: at(k, f"expected '<i> <j> <value>', got {lines[kept[k]]!r}")),
+            (bad_index, lambda k: at(k, f"indices must be integers, got {lines[kept[k]]!r}")),
+            (bad_v, lambda k: at(k, f"bad coefficient, got {lines[kept[k]]!r}")),
+            (out_of_range, lambda k: at(k, f"index out of range for M={m}")),
+            (i > j, lambda k: at(k, "indices must satisfy i <= j")),
+            (_repeats(seen, key), lambda k: at(k, f"duplicate entry ({i[k]}, {j[k]})")),
+        ], QuboParseError)
         finite = np.isfinite(v)
         if nonfinite is None and not finite.all():
             k = kept[int(np.argmin(finite))]

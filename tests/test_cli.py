@@ -508,6 +508,21 @@ class TestMetricsRefusesMalformedCsv:
         assert line.endswith(f"location count 1 differs from 2 in {tmp_path / 'good.csv'} (row 1)")
 
 
+class TestMetricsComparesTotalWithLocations:
+    """A trajectory row whose ``total`` is not the sum of its ``loc_i``
+    values exits 1 and names the row."""
+
+    def test_total_above_its_location_sum(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("step,total,loc_0,loc_1\n0,5.0,1.0,1.0\n1,9.0,0.0,0.0\n", encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text(TestMetricsRefusesMalformedCsv.GOOD, encoding="utf-8")
+        assert cli_dispatch(["metrics", "--controlled", str(bad), "--baseline", str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: total must equal the loc_i sum 2.0, got '5.0' (row 2)\n"
+
+
 class TestBatchRunsInOrder:
     """``batch`` runs its documents in the calling thread, in the order given,
     whatever ``--jobs`` says."""
@@ -873,3 +888,30 @@ class TestRefusedBeforeAnyStep:
         assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"error in {scen}: " in err and "row 2 has 1 fields, expected 2" in err
+
+    @pytest.mark.parametrize("first", ["0", "loc_0"], ids=["same-alias", "other-alias"])
+    def test_repeated_cases_location_exits_one_in_control_and_batch(self, tmp_path, capsys, first):
+        pop = tmp_path / "population.csv"
+        pop.write_text("location,name,population\n0,loc_0,100\n1,loc_1,50\n", encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("from,to,weight\n0,1,0.5\n", encoding="utf-8")
+        cases = tmp_path / "cases.csv"
+        cases.write_text(f"location,infected\n{first},5\n0,7\n", encoding="utf-8")
+        message = f"{cases}: repeated location '0' (row 3)"
+        out = tmp_path / "run"
+        code = cli_dispatch(
+            ["control", "--network", str(edges), "--population", str(pop), "--cases", str(cases),
+             "--model", "sis", "--lambda", "0.1", "--mu", "0.2", "--gamma", "0.01",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        scen = tmp_path / "repeat.scenario"
+        scen.write_text(
+            "model = sis\nlambda = 0.1\nmu = 0.2\ngamma = 0.01\nsteps = 1\n"
+            f"edges = {edges}\npopulation = {pop}\ncases = {cases}\n",
+            encoding="utf-8",
+        )
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
+        assert f"error in {scen}: {message}" in capsys.readouterr().err

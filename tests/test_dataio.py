@@ -218,9 +218,12 @@ class TestChunkedReads:
         with pytest.raises(ValueError, match=r"cases\.csv: row 5 has 1 fields, expected 2$"):
             load_network(NetworkFiles(edges, pop, cases))
 
-    def test_cases_faults_name_their_row_across_chunks(self, two_loc_files):
-        tmp, edges, pop = two_loc_files
-        cases = write(tmp / "cases.csv", "location,infected\n0,1\n1,3\n\n0,2\n1,-1\n")
+    def test_cases_faults_name_their_row_across_chunks(self, tmp_path):
+        pop = write(
+            tmp_path / "p.csv", "location,name,population\n0,a,10\n1,b,10\n2,c,10\n3,d,10\n"
+        )
+        edges = write(tmp_path / "e.csv", "from,to,weight\n")
+        cases = write(tmp_path / "cases.csv", "location,infected\n0,1\n1,3\n\n2,2\n3,-1\n")
         with pytest.raises(ValueError, match=r"negative infected count at row 5$"):
             load_network(NetworkFiles(edges, pop, cases))
 
@@ -465,6 +468,196 @@ class TestColumnarLoaderMatchesReference:
         assert new == old
 
 
+def _reference_rows(path):
+    """Header and non-blank rows of a CSV, refusing the first row with the
+    wrong field count before any value is read."""
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        header, *rows = [row for row in csv.reader(handle, strict=True) if row]
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
+    return header, rows
+
+
+def _reference_populations(path):
+    """The per-row population loader that the columnar one replaced, kept to
+    pin its arrays, names, resolver and messages."""
+    _, rows = _reference_rows(path)
+    populations, names, resolver = [], [], {}
+    for raw_loc, raw_name, raw_pop in rows:
+        idx = len(names)
+        loc, name = raw_loc.strip(), raw_name.strip()
+        try:
+            pop = float(raw_pop)
+        except ValueError:
+            raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
+        if pop <= 0:
+            raise ValueError(f"{path}: population must be positive at location {loc!r}")
+        for key in dict.fromkeys((loc, name)):  # the id first, in file order
+            if key in resolver and resolver[key] != idx:
+                raise ValueError(f"{path}: duplicate location reference {key!r}")
+            resolver[key] = idx
+        names.append(name)
+        populations.append(pop)
+    if not populations:
+        raise ValueError(f"{path}: no locations defined")
+    return np.asarray(populations), names, resolver
+
+
+def _reference_cases(path, resolver, populations):
+    """The per-row cases loader that the columnar one replaced, plus the
+    rule that no two rows name one location, checked right after the
+    reference is resolved."""
+    header, rows = _reference_rows(path)
+    infected = np.zeros(len(populations))
+    removed = np.zeros(len(populations)) if "removed" in header else None
+    named = set()
+    for rownum, fields in enumerate(rows, start=2):
+        row = dict(zip(header, fields))
+        key = row["location"].strip()
+        if key not in resolver:
+            raise ValueError(f"{path}: unknown location reference {key!r} (row {rownum})")
+        idx = resolver[key]
+        if idx in named:
+            raise ValueError(f"{path}: repeated location {key!r} (row {rownum})")
+        named.add(idx)
+        try:
+            inf = float(row["infected"])
+        except ValueError:
+            raise ValueError(f"{path}: bad infected count {row['infected']!r} (row {rownum})")
+        if inf < 0:
+            raise ValueError(f"{path}: negative infected count at row {rownum}")
+        raw = row.get("removed", "")
+        try:
+            rem = float(raw) if raw else 0.0
+        except ValueError:
+            raise ValueError(f"{path}: bad removed count {raw!r} (row {rownum})")
+        if rem < 0:
+            raise ValueError(f"{path}: negative removed count at row {rownum}")
+        if inf + rem > populations[idx]:
+            raise ValueError(f"{path}: cases exceed population at location {idx} (row {rownum})")
+        infected[idx] = inf
+        if removed is not None:
+            removed[idx] = rem
+    return infected, removed
+
+
+def _padded(draw, text):
+    pad = draw(st.sampled_from(["", " ", " \t"]))
+    text = pad + text + pad[::-1]
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+def _with_blank_lines(draw, lines):
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return lines
+
+
+POPULATION_VALUES = st.one_of(
+    st.sampled_from(["x", "", "0", "-1", "nan", "inf", "1e300"]),
+    st.floats(1.0, 1e6).map(repr),
+)
+
+
+@st.composite
+def population_files(draw):
+    """Population file lines over a few ids and names that often collide,
+    through the same alias or the other one, with padding, quoting, bad
+    values and short rows."""
+    keys = st.sampled_from(["0", "1", "2", "3", "a", "b", "c", ""])
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(keys), draw(keys), draw(POPULATION_VALUES)]
+        row = row[: draw(st.sampled_from([3] * 12 + [2]))]
+        lines.append(",".join(_padded(draw, text) for text in row))
+    return _with_blank_lines(draw, lines)
+
+
+CASE_FAULTS = (
+    "unknown", "repeat", "x", "-1", "bad-removed", "-0.5", "blank-removed", "exceed", "nan", "short",
+)
+
+
+@st.composite
+def cases_files(draw):
+    """A cases file over M = 1-8 locations as ``(m, removed, lines)``:
+    references by id or name, padded and quoted, an optional removed column
+    with empty fields, blank lines, and up to two injected faults."""
+    m = draw(st.integers(1, 8))
+    removed = draw(st.booleans())
+    chosen = draw(st.lists(st.integers(0, m - 1), unique=True))
+
+    def ref(k):
+        return str(k) if draw(st.booleans()) else f"loc{k}"
+
+    def counts():
+        row = [repr(draw(st.floats(0.0, 6.0)))]
+        if removed:
+            row.append(draw(st.sampled_from(["", repr(draw(st.floats(0.0, 6.0)))])))
+        return row
+
+    rows = [[ref(k), *counts()] for k in chosen]
+    for kind in draw(st.lists(st.sampled_from(CASE_FAULTS), max_size=2)):
+        k = draw(st.sampled_from(chosen)) if chosen else 0
+        row = [ref(k), *counts()]
+        if kind == "unknown":
+            row[0] = "nowhere"
+        elif kind == "short":
+            row = row[:-1]
+        elif kind == "exceed":
+            row[1] = "1e6"
+        elif kind in ("bad-removed", "-0.5", "blank-removed"):
+            if removed:
+                row[2] = {"bad-removed": "y", "-0.5": "-0.5", "blank-removed": " "}[kind]
+        elif kind != "repeat":
+            row[1] = kind
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    lines = [",".join(_padded(draw, text) for text in row) for row in rows]
+    return m, removed, _with_blank_lines(draw, lines)
+
+
+def _result_or_message(load):
+    try:
+        return "result", [x.tobytes() if isinstance(x, np.ndarray) else x for x in load()]
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestRowRefusalsMatchReference:
+    """The population and cases loaders against test-local copies of the
+    per-row loops they replaced (the cases copy with the repeat rule), at
+    the default chunk and at two rows per chunk."""
+
+    CHUNKS = pytest.mark.parametrize("chunk", [dataio._CSV_CHUNK_ROWS, 2], ids=["default", "2-rows"])
+
+    @CHUNKS
+    @given(lines=population_files())
+    @settings(max_examples=300, deadline=None)
+    def test_populations(self, chunk, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            pop = write(Path(tmp) / "p.csv", "location,name,population\n" + "\n".join(lines) + "\n")
+            with mock.patch.object(dataio, "_CSV_CHUNK_ROWS", chunk):
+                new = _result_or_message(lambda: dataio._load_populations(pop))
+            old = _result_or_message(lambda: _reference_populations(pop))
+        assert new == old
+
+    @CHUNKS
+    @given(case=cases_files())
+    @settings(max_examples=300, deadline=None)
+    def test_cases(self, chunk, case):
+        m, removed, lines = case
+        populations = np.array([4.0 + k for k in range(m)])
+        resolver = {**{str(k): k for k in range(m)}, **{f"loc{k}": k for k in range(m)}}
+        header = "location,infected,removed\n" if removed else "location,infected\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cases = write(Path(tmp) / "cases.csv", header + "\n".join(lines) + "\n")
+            with mock.patch.object(dataio, "_CSV_CHUNK_ROWS", chunk):
+                new = _result_or_message(lambda: dataio.load_cases(cases, resolver, populations))
+            old = _result_or_message(lambda: _reference_cases(cases, resolver, populations))
+        assert new == old
+
+
 class TestRoundTrip:
     def test_emitted_network_reimports_identically(self, rng, tmp_path):
         from conftest import random_network
@@ -676,6 +869,34 @@ class TestTrajectoryCsv:
         path.write_text(trajectory_csv_text(traj), encoding="utf-8")
         totals = read_trajectory_totals(path)
         assert np.array_equal(totals, traj.totals())
+
+    @given(
+        m=st.integers(1, 64),
+        steps=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("CF"),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_written_totals_read_back_bit_equal(self, m, steps, seed, order):
+        # magnitudes spread over nine decades, so the summation order shows
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 10, (steps + 1, m)) * 10.0 ** rng.uniform(-3, 6, (steps + 1, m))
+        traj = Trajectory(np.asarray(x, order=order), np.zeros((steps, m), dtype=np.int8))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "traj.csv", trajectory_csv_text(traj))
+            with mock.patch.object(dataio, "_CSV_CHUNK_ROWS", 2):
+                totals = read_trajectory_totals(path)
+        assert totals.tobytes() == traj.totals().tobytes()
+
+    def test_total_only_file_has_nothing_to_compare(self, tmp_path):
+        path = write(tmp_path / "traj.csv", "step,total\n0,5.0\n1,2.0\n")
+        assert np.array_equal(read_trajectory_totals(path), [5.0, 2.0])
+
+    def test_total_must_equal_its_location_sum(self, tmp_path):
+        path = write(tmp_path / "traj.csv", "step,total,loc_0,loc_1\n0,2.0,1.0,1.0\n1,2.5,1.0,1.0\n")
+        with pytest.raises(ValueError) as info:
+            read_trajectory_totals(path)
+        assert str(info.value) == f"{path}: total must equal the loc_i sum 2.0, got '2.5' (row 3)"
 
     def test_steps_counted_across_chunks_and_blank_lines(self, tmp_path):
         rows = [f"{t},1.0,1.0" for t in range(1500)]
