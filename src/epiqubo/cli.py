@@ -19,7 +19,6 @@ import numpy as np
 
 from . import dataio
 from .controller import (
-    BUILDER_NAMES,
     ScenarioConfig,
     compare_totals,
     compute_metrics,
@@ -32,7 +31,7 @@ from .epinet import (
     infection_rate_from_r0,
     simulate,
 )
-from .qubo import build_qubo, export_qubo, import_qubo
+from .qubo import BUILDER_NAMES, build_qubo, export_qubo, import_qubo, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
 __all__ = ["cli_dispatch", "main"]
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_export_network)
 
-    for name, default_steps in (("simulate", None), ("baseline", 30)):
+    for name, default_steps in (("simulate", None), ("baseline", ScenarioConfig.steps)):
         p = sub.add_parser(name, help="run the uncontrolled dynamics")
         _add_network_args(p)
         _add_model_args(p)
@@ -87,14 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(p)
     _add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--builder", choices=BUILDER_NAMES, default="analytic")
+    p.add_argument("--builder", choices=BUILDER_NAMES, default=ScenarioConfig.builder)
     p.add_argument("--out", default=None, help="QUBO text file (stdout if omitted)")
     p.set_defaults(func=_cmd_build_qubo)
 
     p = sub.add_parser("solve", help="minimize a QUBO file")
     p.add_argument("qubo_file", help="QUBO text file")
-    p.add_argument("--solver", choices=SOLVER_NAMES, default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solver", choices=SOLVER_NAMES, default=ScenarioConfig.solver)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument(
         "--budget", type=int, default=SolverConfig.budget, help="max objective evaluations"
     )
@@ -105,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(p)
     _add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--solver", choices=SOLVER_NAMES, default="exhaustive")
-    p.add_argument("--builder", choices=BUILDER_NAMES, default="analytic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=ScenarioConfig.steps)
+    p.add_argument("--solver", choices=SOLVER_NAMES, default=ScenarioConfig.solver)
+    p.add_argument("--builder", choices=BUILDER_NAMES, default=ScenarioConfig.builder)
+    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
     p.add_argument("--budget", type=int, default=None, help="max objective evaluations per step")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true", help="clamp states instead of refusing")
@@ -225,11 +224,9 @@ def _resolve_scenario(
         lam=lam,
         mu=mu,
         gamma=_number(values, "gamma", float),
-        steps=_number(values, "steps", int, "30"),
-        solver=values.get("solver", "exhaustive"),
+        **{key: _number(values, key, int) for key in ("steps", "seed") if key in values},
+        **{key: values[key] for key in ("solver", "builder") if key in values},
         solver_config=SolverConfig(**solver_kwargs),
-        builder=values.get("builder", "analytic"),
-        seed=_number(values, "seed", int, "0"),
         force=force.lower() == "true",
     )
     echo = {}
@@ -288,7 +285,7 @@ def _cmd_solve(args) -> int:
         "solver": args.solver,
         "seed": args.seed,
         "z_best": result.z_best.astype(int).tolist(),
-        "control": (1 - result.z_best).astype(int).tolist(),
+        "control": to_control(result.z_best).tolist(),
         "objective": result.objective,
         "evaluations": result.evaluations,
         "wall_time_seconds": result.wall_time,
@@ -301,9 +298,7 @@ def _run_control(cfg: ScenarioConfig, state0, echo: dict, out_dir: str) -> dict:
     log = run_rolling_horizon(cfg, state0)
     baseline = run_uncontrolled_baseline(cfg, state0)
     metrics = compute_metrics(log, baseline)
-    report = dataio.build_run_report(echo, metrics, log, baseline)
-    dataio.write_run_report(out_dir, report, log, baseline)
-    return report
+    return dataio.write_run_report(out_dir, echo, metrics, log, baseline)
 
 
 def _cmd_control(args) -> int:

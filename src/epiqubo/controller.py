@@ -12,7 +12,8 @@ reproducible while the solver randomness stays decorrelated across steps.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .epinet import (
     step_sir,
     validate_network,
 )
-from .qubo import build_qubo, to_control
+from .qubo import BUILDER_NAMES, build_qubo, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
 __all__ = [
@@ -44,15 +45,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-BUILDER_NAMES = ("analytic", "numeric")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce one controlled run.
 
-    A network that ``validate_network`` reports violations for is refused;
-    its warnings are logged.  A run with ``lam`` above the network's
+    A network that ``validate_network`` reports violations for is refused,
+    and so is a gamma whose isolation cost ``gamma * sum(n)`` overflows; the
+    network's warnings are logged.  A run with ``lam`` above the network's
     invariance bound is refused outright unless ``force`` is set, in which
     case this is logged once here, states are clamped into [0, n_i] and
     every clamp is logged.
@@ -81,6 +81,12 @@ class ScenarioConfig:
             raise ValueError("total steps must be at least 1")
         if not 0 <= self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        # Python floats, so an overflow is refused without a numpy warning
+        total = sum(self.network.populations.tolist())
+        if not math.isfinite(float(self.gamma) * total):
+            raise ValueError(
+                f"isolation cost gamma * sum(n) overflows: gamma {self.gamma}, sum(n) {total}"
+            )
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
@@ -135,17 +141,9 @@ class MetricsReport:
     per_location_peak_controlled: np.ndarray
 
     def as_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "peak_uncontrolled": self.peak_uncontrolled,
-            "peak_controlled": self.peak_controlled,
-            "avg_uncontrolled": self.avg_uncontrolled,
-            "avg_controlled": self.avg_controlled,
-            "peak_reduction_pct": self.peak_reduction_pct,
-            "avg_reduction_pct": self.avg_reduction_pct,
-            "per_location_peak_uncontrolled": self.per_location_peak_uncontrolled.tolist(),
-            "per_location_peak_controlled": self.per_location_peak_controlled.tolist(),
-        }
+        """JSON-ready view, keyed by field name in field order."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _advance(

@@ -1,4 +1,5 @@
-"""File formats: network CSVs, scenario documents, and run reports.
+"""File formats: network CSVs, scenario documents, and run reports, which one
+writer, ``write_run_report``, builds and writes.
 
 CSV schemas (UTF-8, header row required):
     edges.csv       from,to,weight          directed, ingested as-is
@@ -55,7 +56,6 @@ __all__ = [
     "write_cases_csv",
     "parse_scenario_text",
     "scenario_to_text",
-    "build_run_report",
     "write_run_report",
     "trajectory_csv_text",
     "read_trajectory_totals",
@@ -420,16 +420,18 @@ def scenario_to_text(echo: dict) -> str:
 # -- run reports ---------------------------------------------------------------
 
 
-def build_run_report(
+def write_run_report(
+    out_dir: str | Path,
     echo: dict,
     metrics: MetricsReport,
     log: ControlLog,
     baseline: Trajectory,
 ) -> dict:
-    """Assemble the machine-readable report.
+    """Build the run report and write report.json, the two trajectory CSVs
+    and the resolved scenario; return the report.
 
-    Everything outside the ``timing`` subtree is a pure function of the
-    scenario, so two runs with the same config and seed produce identical
+    Everything outside the report's ``timing`` subtree depends only on the
+    scenario, so two runs with the same config and seed write identical
     documents there.
     """
     traj = log.trajectory
@@ -452,6 +454,12 @@ def build_run_report(
             "max_seconds": float(wall.max()),
         },
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    (out / "trajectory.csv").write_text(trajectory_csv_text(traj), encoding="utf-8")
+    (out / "baseline.csv").write_text(trajectory_csv_text(baseline), encoding="utf-8")
+    (out / "scenario.resolved").write_text(scenario_to_text(echo), encoding="utf-8")
     return report
 
 
@@ -511,22 +519,3 @@ def _trajectory_totals(path: str | Path) -> tuple[np.ndarray, int]:
     if not totals.size:
         raise ValueError(f"{path}: no rows")
     return totals, len(cols) - 2
-
-
-def write_run_report(
-    out_dir: str | Path,
-    report: dict,
-    log: ControlLog,
-    baseline: Trajectory,
-) -> None:
-    """Write report.json, the two trajectory CSVs, and the resolved scenario."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    (out / "trajectory.csv").write_text(
-        trajectory_csv_text(log.trajectory), encoding="utf-8"
-    )
-    (out / "baseline.csv").write_text(trajectory_csv_text(baseline), encoding="utf-8")
-    (out / "scenario.resolved").write_text(
-        scenario_to_text(report["scenario"]), encoding="utf-8"
-    )

@@ -386,8 +386,6 @@ def cost(traj: Trajectory, u, gamma: float, net: LocationNetwork) -> float:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if traj.infected.shape[0] < traj.num_steps + 1:
-        raise ValueError("trajectory is missing states")
     uu = as_bits(u, net.m)
     infections = float(traj.infected[1:].sum())
     return infections + gamma * float(np.dot(net.populations, uu))

@@ -56,6 +56,7 @@ __all__ = [
     "restrict",
     "to_control",
     "from_control",
+    "BUILDER_NAMES",
     "build_qubo_numeric",
     "build_qubo_sis_analytic",
     "build_qubo_sir_analytic",
@@ -376,6 +377,9 @@ def build_qubo_sir_analytic(
     return _build_analytic(net, params, state0, gamma, ModelKind.SIR)
 
 
+BUILDER_NAMES = ("analytic", "numeric")
+
+
 def build_qubo(
     net: LocationNetwork,
     params: EpidemicParams,
@@ -383,14 +387,14 @@ def build_qubo(
     gamma: float,
     method: str = "analytic",
 ) -> QuboProblem:
-    """Dispatch between the analytic and numeric builders."""
+    """Run the builder that ``method``, one of ``BUILDER_NAMES``, names."""
+    if method not in BUILDER_NAMES:
+        raise ValueError(f"unknown builder {method!r}; expected one of {BUILDER_NAMES}")
     if method == "numeric":
         return build_qubo_numeric(net, params, state0, gamma)
-    if method == "analytic":
-        if params.kind is ModelKind.SIS:
-            return build_qubo_sis_analytic(net, params, state0, gamma)
-        return build_qubo_sir_analytic(net, params, state0, gamma)
-    raise ValueError(f"unknown builder {method!r}; expected 'analytic' or 'numeric'")
+    if params.kind is ModelKind.SIS:
+        return build_qubo_sis_analytic(net, params, state0, gamma)
+    return build_qubo_sir_analytic(net, params, state0, gamma)
 
 
 # -- exhaustive reference over controls --------------------------------------
@@ -503,7 +507,7 @@ def _repeats(seen: np.ndarray, key: np.ndarray) -> np.ndarray:
     return seen[key] | ~first_copy
 
 
-def _refuse(n: int, checks, error=ValueError) -> None:
+def _refuse(n: int, checks, error) -> None:
     """Raise ``error(word(k))`` for the first failing row k of ``n``, worded by
     its first failing check.  ``checks`` lists ``(bad, word)`` in check order;
     ``bad`` masks a prefix of the rows, or is the first failing row or ``n``."""

@@ -8,14 +8,17 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epiqubo
-from epiqubo import import_qubo, solve_bruteforce_problem1
-from epiqubo.cli import cli_dispatch
+from epiqubo import ScenarioConfig, SolverConfig, import_qubo, solve_bruteforce_problem1
+from epiqubo.cli import build_parser, cli_dispatch
+from epiqubo.qubo import BUILDER_NAMES
 from epiqubo.dataio import NetworkFiles, load_network
 
 
@@ -915,3 +918,101 @@ class TestRefusedBeforeAnyStep:
         )
         assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
         assert f"error in {scen}: {message}" in capsys.readouterr().err
+
+
+class TestDefaultsHaveOneOwner:
+    """Flag and document defaults are the ``ScenarioConfig`` and ``SolverConfig`` ones."""
+
+    NETWORK = ["--network", "e.csv", "--population", "p.csv"]
+    MODEL = ["--model", "sis", "--lambda", "0.1", "--mu", "0.1"]
+
+    @pytest.mark.parametrize(
+        "argv, owned",
+        [
+            (["control", *NETWORK, *MODEL, "--gamma", "0", "--out", "o"],
+             ("steps", "solver", "builder", "seed")),
+            (["baseline", *NETWORK, *MODEL], ("steps",)),
+            (["build-qubo", *NETWORK, *MODEL, "--gamma", "0"], ("builder",)),
+            (["solve", "q.txt"], ("solver",)),
+        ],
+        ids=["control", "baseline", "build-qubo", "solve"],
+    )
+    def test_parser_defaults_are_the_scenario_defaults(self, argv, owned):
+        args = build_parser().parse_args(argv)
+        defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+        assert {name: getattr(args, name) for name in owned} == {
+            name: defaults[name] for name in owned
+        }
+
+    def test_solve_defaults_are_the_solver_defaults(self):
+        args = build_parser().parse_args(["solve", "q.txt"])
+        defaults = {f.name: f.default for f in fields(SolverConfig)}
+        assert (args.seed, args.budget) == (defaults["seed"], defaults["budget"])
+
+    def test_control_without_options_matches_a_document_without_them(self, workspace, tmp_path):
+        model = {"model": "sir", "lambda": "0.02", "mu": "0.05", "gamma": "1e-07"}
+        out = tmp_path / "control"
+        assert cli_dispatch(
+            ["control", *network_flags(workspace), *(f"--{k}={v}" for k, v in model.items()),
+             "--out", str(out)]
+        ) == 0
+        scen = tmp_path / "doc.scenario"
+        files = {key: workspace[key] for key in ("edges", "population", "cases")}
+        scen.write_text(
+            "".join(f"{k} = {v}\n" for k, v in {**model, **files}.items()), encoding="utf-8"
+        )
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "batch")]) == 0
+        reports = [json.loads((d / "report.json").read_text(encoding="utf-8"))
+                   for d in (out, tmp_path / "batch" / "doc")]
+        keys = ("controls", "objectives", "trajectory", "baseline", "metrics")
+        control, document = ({k: r[k] for k in keys} for r in reports)
+        assert control == document
+        assert len(reports[0]["controls"]) == ScenarioConfig.steps
+        for name in ("trajectory.csv", "baseline.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "batch" / "doc" / name).read_bytes()
+
+
+class TestOverflowingGammaRefused:
+    """A gamma whose isolation cost ``gamma * sum(n)`` overflows exits 1 before any step."""
+
+    @pytest.fixture
+    def ring(self, tmp_path):
+        net = tmp_path / "net"
+        assert cli_dispatch(
+            ["generate", "--m", "5", "--profile", "ring", "--seed", "1", "--out", str(net)]
+        ) == 0
+        (tmp_path / "cases.csv").write_text("location,infected\n0,10\n", encoding="utf-8")
+        return {"edges": str(net / "edges.csv"), "population": str(net / "population.csv"),
+                "cases": str(tmp_path / "cases.csv")}
+
+    @pytest.mark.parametrize("builder", BUILDER_NAMES)
+    def test_control_exits_one_with_one_error_line(self, ring, tmp_path, capsys, builder):
+        capsys.readouterr()
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_dispatch(
+                ["control", *network_flags(ring), "--model", "sis", "--r0", "0.3", "--mu", "0.2",
+                 "--gamma", "1e306", "--builder", builder, "--out", str(out)]
+            )
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: isolation cost gamma * sum(n) overflows: gamma 1e+306, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_batch_document_gets_its_error_line(self, ring, tmp_path, capsys):
+        scen = tmp_path / "huge.scenario"
+        scen.write_text(
+            "model = sis\nr0 = 0.3\nmu = 0.2\ngamma = 1e306\n"
+            + "".join(f"{key} = {path}\n" for key, path in ring.items()),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in {scen}: isolation cost gamma * sum(n) overflows: ")
+        assert err.count("\n") == 1
+        assert not (out / "huge").exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,26 @@ class TestConfigValidation:
             run_rolling_horizon(hot, state)
             run_uncontrolled_baseline(hot, state)
         assert sum("states will be clamped" in m for m in caplog.messages) == 1
+
+    @pytest.mark.parametrize(
+        "populations, gamma, total",
+        # the largest float is about 1.8e308: 1e305 * 3e4 passes it, and so does
+        # the population sum 2e308, whatever gamma
+        [([1e4, 2e4], np.float64(1e305), "30000.0"), ([1e308, 1e308], 0.0, "inf")],
+    )
+    def test_isolation_cost_that_overflows_is_refused(self, populations, gamma, total):
+        net = LocationNetwork(populations, [[0.0, 0.1], [0.1, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=gamma)
+        assert str(info.value) == (
+            f"isolation cost gamma * sum(n) overflows: gamma {gamma}, sum(n) {total}"
+        )
+
+    def test_finite_isolation_cost_near_the_largest_float_is_accepted(self):
+        net = LocationNetwork([1e4, 2e4], [[0.0, 0.1], [0.1, 0.0]])
+        ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=1.7e308 / 3e4)
 
 
 class TestRollingHorizon:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiqubo import LocationNetwork, ModelKind, dataio
+from epiqubo import (
+    EpidemicState,
+    LocationNetwork,
+    ModelKind,
+    ScenarioConfig,
+    compute_metrics,
+    dataio,
+    run_rolling_horizon,
+    run_uncontrolled_baseline,
+)
 from epiqubo.dataio import (
     NetworkFiles,
     generate_synthetic,
@@ -24,6 +35,7 @@ from epiqubo.dataio import (
     trajectory_csv_text,
     write_cases_csv,
     write_network_csvs,
+    write_run_report,
 )
 from epiqubo.epinet import Trajectory
 
@@ -907,3 +919,36 @@ class TestTrajectoryCsv:
         path.write_text("step,total,loc_0\n\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"expected 1200, got '1201' \(row 1202\)"):
             read_trajectory_totals(path)
+
+
+class TestRunReport:
+    ECHO = {"model": "sir", "lambda": "0.02", "mu": "0.05", "gamma": "1e-07", "steps": "3",
+            "profile": "gravity", "m": "4"}
+
+    @pytest.fixture
+    def run(self):
+        net = generate_synthetic(4, "gravity", 0)
+        cfg = ScenarioConfig(network=net, kind="sir", lam=0.02, mu=0.05, gamma=1e-7, steps=3)
+        state0 = EpidemicState(0.01 * net.populations, np.zeros(net.m))
+        log = run_rolling_horizon(cfg, state0)
+        baseline = run_uncontrolled_baseline(cfg, state0)
+        return compute_metrics(log, baseline), log, baseline
+
+    def test_returns_what_report_json_reads_back(self, tmp_path, run):
+        report = write_run_report(tmp_path / "out", self.ECHO, *run)
+        assert report == json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "baseline.csv", "report.json", "scenario.resolved", "trajectory.csv"
+        ]
+
+    def test_resolved_scenario_is_the_echo(self, tmp_path, run):
+        report = write_run_report(tmp_path, self.ECHO, *run)
+        resolved = (tmp_path / "scenario.resolved").read_text(encoding="utf-8")
+        assert resolved == scenario_to_text(self.ECHO)
+        assert report["scenario"] == self.ECHO
+
+    def test_metrics_keep_field_order_and_serialize(self, run):
+        view = run[0].as_dict()
+        assert list(view) == [f.name for f in fields(run[0])]
+        assert json.loads(json.dumps(view)) == view
+        assert view["per_location_peak_controlled"] == run[0].per_location_peak_controlled.tolist()

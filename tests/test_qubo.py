@@ -19,6 +19,7 @@ from epiqubo import (
     ModelKind,
     QuboParseError,
     QuboProblem,
+    build_qubo,
     build_qubo_numeric,
     build_qubo_sir_analytic,
     build_qubo_sis_analytic,
@@ -934,3 +935,28 @@ class TestPersistency:
     def test_restrict_rejects_bad_fixed(self, fixed):
         with pytest.raises(ValueError, match="fixed"):
             restrict(QuboProblem(np.zeros(3)), np.array(fixed))
+
+
+class TestBuilderNames:
+    DIRECT = {
+        "analytic": {ModelKind.SIS: build_qubo_sis_analytic, ModelKind.SIR: build_qubo_sir_analytic},
+        "numeric": {ModelKind.SIS: build_qubo_numeric, ModelKind.SIR: build_qubo_numeric},
+    }
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("name", qubo_module.BUILDER_NAMES)
+    def test_each_name_dispatches_to_its_builder(self, rng, kind, name):
+        net, params, state, gamma = random_instance(rng, kind, 5)
+        got = build_qubo(net, params, state, gamma, name)
+        want = self.DIRECT[name][kind](net, params, state, gamma)
+        assert np.array_equal(got.linear, want.linear)
+        assert np.array_equal(got.coupling, want.coupling)
+        assert got.offset == want.offset
+
+    def test_unknown_name_is_refused_naming_every_builder(self, two_node_instance):
+        net, params, state = two_node_instance[:3]
+        with pytest.raises(ValueError) as info:
+            build_qubo(net, params, state, 0.0, "symbolic")
+        message = str(info.value)
+        assert message.startswith("unknown builder 'symbolic'")
+        assert all(repr(name) in message for name in ("analytic", "numeric"))
