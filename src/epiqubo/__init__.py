@@ -45,7 +45,6 @@ from .qubo import (
     from_control,
     import_qubo,
     restrict,
-    solve_bruteforce_problem1,
     to_control,
 )
 from .solvers import (
@@ -96,7 +95,6 @@ __all__ = [
     "run_uncontrolled_baseline",
     "simulate",
     "solve",
-    "solve_bruteforce_problem1",
     "solve_exhaustive",
     "solve_genetic",
     "solve_simulated_annealing",

@@ -2,8 +2,10 @@
 
 Subcommands: generate, export-network, simulate, baseline, build-qubo,
 solve, control, metrics, batch.  Diagnostics go to stderr; data goes to
-files or stdout.  Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+files or stdout.  Exit codes: 0 success, 1 input the system cannot serve
+(a validation error, or a network or step count too large to allocate), 2
+any other failure; ``_report_failure`` is the one place that maps a failure
+to its code and its stderr line.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .qubo import BUILDER_NAMES, build_qubo, export_qubo, import_qubo, to_contro
 from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
 __all__ = ["cli_dispatch", "main"]
+
+logger = logging.getLogger(__name__)
 
 
 def _add_network_args(parser: argparse.ArgumentParser, cases: bool = True) -> None:
@@ -171,7 +175,8 @@ def _resolve_scenario(
     mapping's order and strings, except that the rate is always given as
     ``lambda`` (in the place of ``r0`` when it was calibrated) and each path
     is the resolved one that was read, so the echo re-runs to the same
-    result from any directory.
+    result from any directory.  Under SIS a cases file may carry a removed
+    column only of zeros, since the model has no compartment to hold them.
     """
     paths = {
         key: (base / values[key]).resolve()
@@ -202,6 +207,12 @@ def _resolve_scenario(
         raise ValueError(
             f"scenario key 'model': expected sis or sir, got {values['model']!r}"
         ) from None
+    if kind is ModelKind.SIS and removed is not None and removed.any():
+        k = int(np.flatnonzero(removed)[0])
+        raise ValueError(
+            f"{paths['cases']}: model sis has no removed compartment, "
+            f"but location {k} has removed count {float(removed[k])!r}"
+        )
     mu = _number(values, "mu", float)
     if "lambda" in values:
         lam = _number(values, "lambda", float)
@@ -345,13 +356,23 @@ def _cmd_batch(args) -> int:
             values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
             cfg, state0, echo = _resolve_scenario(values, path.parent)
             _run_control(cfg, state0, echo, str(out_root / path.stem))
-        except (ValueError, OSError) as exc:
-            sys.stderr.write(f"error in {name}: {exc}\n")
-            worst = max(worst, 1)
         except Exception as exc:
-            sys.stderr.write(f"runtime error in {name}: {exc}\n")
-            worst = max(worst, 2)
+            worst = max(worst, _report_failure(exc, f" in {name}"))
     return worst
+
+
+def _report_failure(exc: Exception, where: str = "") -> int:
+    """Write the one stderr line for a failed command or batch document and
+    return its exit code: 1 for input the system cannot serve (a
+    ``ValueError``, an ``OSError``, or a ``MemoryError`` from an input too
+    large to allocate), 2 for any other failure.  ``where`` is empty for a
+    command and ``" in <path>"`` for a batch document."""
+    if isinstance(exc, (ValueError, OSError, MemoryError)):
+        sys.stderr.write(f"error{where}: {exc}\n")
+        return 1
+    sys.stderr.write(f"runtime error{where}: {exc}\n")
+    logger.debug("traceback of the runtime error above", exc_info=exc)
+    return 2
 
 
 def cli_dispatch(argv: list[str]) -> int:
@@ -364,12 +385,8 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        return _report_failure(exc)
 
 
 def main() -> None:

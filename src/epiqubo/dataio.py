@@ -18,11 +18,13 @@ those refusals win over a bad value anywhere in the file.  Files are read
 ``_CSV_CHUNK_ROWS`` rows at a time and only arrays are kept between chunks,
 so memory follows the M x M weight matrix, not the size of the file.  One
 parser, ``qubo._parsed``, reads every numeric column up to its first bad
-field, and one rule, ``qubo._refuse``, orders every refusal after those: the
-first failing row, by its first failing check.  Cases name a location at most
-once, through either alias; a trajectory ``total`` equals its row's ``loc_i``
-sum as ``Trajectory.totals`` sums it.  The writers end network and cases lines
-with CRLF, the ``csv`` module's default, and trajectory lines with LF.
+field (a population, weight or case count that reads as ``nan`` or an
+infinity is bad too), and one rule, ``qubo._refuse``, orders every refusal
+after those: the first failing row, by its first failing check.  Cases name
+a location at most once, through either alias; a trajectory ``total`` equals
+its row's ``loc_i`` sum as ``Trajectory.totals`` sums it.  The writers end
+network and cases lines with CRLF, the ``csv`` module's default, and
+trajectory lines with LF.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
@@ -134,6 +136,16 @@ def _read_csv_rows(
             rownum += len(chunk)
 
 
+def _finite(column, parse=float) -> tuple[np.ndarray, int]:
+    """``column`` parsed by ``qubo._parsed`` as a float array of its parsed
+    prefix, and the index of its first bad field: one that ``parse`` refuses
+    or that reads as ``nan`` or an infinity (``len(column)`` when none is)."""
+    values, bad = _parsed(column, parse)
+    array = np.array(values, dtype=np.float64)
+    nonfinite = ~np.isfinite(array)
+    return array, int(np.argmax(nonfinite)) if nonfinite.any() else bad
+
+
 @contextmanager
 def _field_counts_first(chunks):
     """Hold a content error raised while ``chunks`` are consumed until the
@@ -148,13 +160,13 @@ def _field_counts_first(chunks):
 
 
 def _load_populations(path: str | Path):
-    populations: list[float] = []
+    parts: list[np.ndarray] = []
     names: list[str] = []
     resolver: dict[str, int] = {}
     chunks = _read_csv_rows(path, ["location", "name", "population"])
     with _field_counts_first(chunks):
         for _, cols in chunks:
-            pops, bad = _parsed(cols["population"], float)
+            pops, bad = _finite(cols["population"])
             locs = [loc.strip() for loc in cols["location"]]
             start = len(names)
             names += (name.strip() for name in cols["name"])
@@ -163,15 +175,16 @@ def _load_populations(path: str | Path):
                      for idx, pair in enumerate(zip(locs, names[start:]), start)]
             _refuse(len(locs), [
                 (bad, lambda k: f"bad population {cols['population'][k]!r} for {locs[k]!r}"),
-                (np.array(pops) <= 0,
+                (pops <= 0,
                  lambda k: f"population must be positive at location {locs[k]!r}"),
                 (next((k for k, key in enumerate(taken) if key is not None), len(taken)),
                  lambda k: f"duplicate location reference {taken[k]!r}"),
             ], lambda what: ValueError(f"{path}: {what}"))
-            populations += pops
-    if not populations:
+            parts.append(pops)
+    populations = np.concatenate(parts)
+    if not populations.size:
         raise ValueError(f"{path}: no locations defined")
-    return np.asarray(populations), names, resolver
+    return populations, names, resolver
 
 
 def _refs(resolver: dict[str, int], column) -> np.ndarray:
@@ -189,8 +202,7 @@ def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarra
         for row0, cols in chunks:
             src, dst, raw = cols["from"], cols["to"], cols["weight"]
             i, j = _refs(resolver, src), _refs(resolver, dst)
-            values, bad = _parsed(raw, float)
-            w = np.array(values, dtype=np.float64)
+            w, bad = _finite(raw)
             unknown = (i < 0) | (j < 0)
             key = np.where(unknown, m * m, i * m + j)
             _refuse(len(key), [
@@ -224,9 +236,8 @@ def load_cases(path: str | Path, resolver: dict[str, int], populations: np.ndarr
             locs = [loc.strip() for loc in cols["location"]]
             raw_infs, raw_rems = cols["infected"], cols.get("removed", [""] * len(locs))
             idx = _refs(resolver, locs)
-            infs, bad_inf = _parsed(raw_infs, float)
-            rems, bad_rem = _parsed(raw_rems, lambda raw: float(raw) if raw else 0.0)
-            inf, rem = np.array(infs, dtype=np.float64), np.array(rems, dtype=np.float64)
+            inf, bad_inf = _finite(raw_infs)
+            rem, bad_rem = _finite(raw_rems, lambda raw: float(raw) if raw else 0.0)
             both = min(bad_inf, bad_rem)
             _refuse(len(locs), [
                 (idx < 0, lambda k: f"unknown location reference {locs[k]!r} (row {row0 + k})"),

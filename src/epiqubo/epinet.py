@@ -13,11 +13,12 @@ never enters the equations.
 The SIS and SIR updates are written once, in the array kernel
 ``step_arrays``, whose per-location part is ``_local_update``; ``step_sis``
 and ``step_sir`` validate one state and call it, and the batched cost
-iterates it for brute force and for the numeric builder's z = 0 probe.  The
-numeric builder applies ``_local_update`` alone to the step-2 entries its
-other probes perturb.  One loop, ``_record``, records every run:
-``simulate`` and the controller's controlled and baseline runs pass it
-their own per-step advance.
+iterates it for the numeric builder's z = 0 probe and for the brute-force
+oracle in ``tests/conftest.py``.  The numeric builder applies
+``_local_update`` alone to the step-2 entries its other probes perturb.
+One loop, ``_record``, records every run: ``simulate`` and the
+controller's controlled and baseline runs pass it their own per-step
+advance.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def cost(traj: Trajectory, u, gamma: float, net: LocationNetwork) -> float:
     return infections + gamma * float(np.dot(net.populations, uu))
 
 
-# -- batched array kernels (shared by the QUBO builders and brute force) ----
+# -- batched array kernels (shared by the QUBO builders and the test oracle) -
 
 
 def step_arrays(
@@ -443,8 +444,9 @@ def batch_infection_cost(
     """Infection part of the cost (no gamma term) for a batch of constant
     controls, one row per control vector.
 
-    Its callers are ``qubo.solve_bruteforce_problem1``, which scans every
-    control, and the numeric builder's z = 0 probe, one all-isolated row.
+    Its callers are the numeric builder's z = 0 probe, one all-isolated
+    row, and the brute-force oracle in ``tests/conftest.py``, which scans
+    every control.
     Step 1 is computed once from the 1-D start state: one matrix-vector
     product serves every row, so a row's step 1 does not depend on the
     batch and equals ``simulate``'s step 1.  Later steps run one

@@ -60,7 +60,6 @@ __all__ = [
     "build_qubo_numeric",
     "build_qubo_sis_analytic",
     "build_qubo_sir_analytic",
-    "solve_bruteforce_problem1",
     "export_qubo",
     "import_qubo",
 ]
@@ -397,7 +396,7 @@ def build_qubo(
     return build_qubo_sir_analytic(net, params, state0, gamma)
 
 
-# -- exhaustive reference over controls --------------------------------------
+# -- enumeration -------------------------------------------------------------
 
 
 def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
@@ -405,44 +404,6 @@ def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
     ks = np.arange(count, dtype=np.int64) + first
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((ks[:, None] >> shifts) & 1).astype(np.int8)
-
-
-def solve_bruteforce_problem1(
-    net: LocationNetwork,
-    params: EpidemicParams,
-    state0: EpidemicState,
-    gamma: float,
-    steps: int = HORIZON,
-) -> np.ndarray:
-    """Enumerate every control vector and return the cost minimizer.
-
-    Ties break toward the lexicographically smallest control.  Reference
-    oracle for end-to-end checks of the compiled objectives; refuses more
-    than 25 locations, and then a start state that ``check_state`` refuses
-    for the model kind of ``params``.
-    """
-    m = net.m
-    if m > ENUM_MAX_BITS:
-        raise ValueError(f"{m} locations exceed the enumeration limit of {ENUM_MAX_BITS}")
-    check_state(state0, net, params.kind)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    total = 1 << m
-    chunk = 1 << min(m, ENUM_CHUNK_BITS)
-    best_cost = np.inf
-    best_u: np.ndarray | None = None
-    for start in range(0, total, chunk):
-        u_rows = _bit_rows(min(chunk, total - start), m, start)
-        costs = batch_infection_cost(
-            net, params, state0, u_rows.astype(np.float64), steps
-        )
-        costs += gamma * (u_rows @ net.populations)
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best_u = u_rows[k].copy()
-    assert best_u is not None
-    return best_u
 
 
 # -- text format ---------------------------------------------------------------

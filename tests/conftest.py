@@ -1,4 +1,5 @@
-"""Shared generators for randomized test instances."""
+"""Shared generators for randomized test instances, and the brute-force
+control oracle that the compiled objectives are checked against."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from epiqubo import (
     QuboProblem,
     invariance_bound,
 )
+from epiqubo.epinet import batch_infection_cost, check_state
+from epiqubo.qubo import ENUM_CHUNK_BITS, ENUM_MAX_BITS, HORIZON, _bit_rows
 
 
 def random_network(rng: np.random.Generator, m: int, density: float = 0.5) -> LocationNetwork:
@@ -58,6 +61,44 @@ def all_bits(m: int) -> np.ndarray:
     ks = np.arange(1 << m, dtype=np.int64)
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
     return ((ks[:, None] >> shifts) & 1).astype(np.int8)
+
+
+def solve_bruteforce_problem1(
+    net: LocationNetwork,
+    params: EpidemicParams,
+    state0: EpidemicState,
+    gamma: float,
+    steps: int = HORIZON,
+) -> np.ndarray:
+    """Enumerate every control vector and return the cost minimizer.
+
+    Ties break toward the lexicographically smallest control.  Reference
+    oracle for end-to-end checks of the compiled objectives; refuses more
+    than 25 locations, and then a start state that ``check_state`` refuses
+    for the model kind of ``params``.
+    """
+    m = net.m
+    if m > ENUM_MAX_BITS:
+        raise ValueError(f"{m} locations exceed the enumeration limit of {ENUM_MAX_BITS}")
+    check_state(state0, net, params.kind)
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    total = 1 << m
+    chunk = 1 << min(m, ENUM_CHUNK_BITS)
+    best_cost = np.inf
+    best_u: np.ndarray | None = None
+    for start in range(0, total, chunk):
+        u_rows = _bit_rows(min(chunk, total - start), m, start)
+        costs = batch_infection_cost(
+            net, params, state0, u_rows.astype(np.float64), steps
+        )
+        costs += gamma * (u_rows @ net.populations)
+        k = int(np.argmin(costs))
+        if costs[k] < best_cost:
+            best_cost = float(costs[k])
+            best_u = u_rows[k].copy()
+    assert best_u is not None
+    return best_u
 
 
 @pytest.fixture

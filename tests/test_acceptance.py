@@ -26,7 +26,6 @@ from epiqubo import (
     run_uncontrolled_baseline,
     simulate,
     solve,
-    solve_bruteforce_problem1,
     solve_exhaustive,
     to_control,
 )
@@ -34,7 +33,7 @@ from epiqubo.cli import cli_dispatch
 from epiqubo.dataio import generate_synthetic
 from epiqubo.epinet import _rho_of_unit_shifted, batch_infection_cost
 from epiqubo.qubo import batch_evaluate
-from conftest import all_bits, random_instance, random_qubo
+from conftest import all_bits, random_instance, random_qubo, solve_bruteforce_problem1
 
 
 @contextmanager

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import epiqubo
-from epiqubo import ScenarioConfig, SolverConfig, import_qubo, solve_bruteforce_problem1
+from epiqubo import ScenarioConfig, SolverConfig, import_qubo
 from epiqubo.cli import build_parser, cli_dispatch
 from epiqubo.qubo import BUILDER_NAMES
 from epiqubo.dataio import NetworkFiles, load_network
+from conftest import solve_bruteforce_problem1
 
 
 @pytest.fixture
@@ -1016,3 +1017,269 @@ class TestOverflowingGammaRefused:
         assert err.startswith(f"error in {scen}: isolation cost gamma * sum(n) overflows: ")
         assert err.count("\n") == 1
         assert not (out / "huge").exists()
+
+
+class TestOneFailureRule:
+    """Every command and every batch document maps a failure the same way: a
+    ValueError, OSError or MemoryError exits 1 with an ``error`` line, any
+    other exception exits 2 with a ``runtime error`` line, each line written
+    in one write and never followed by a traceback."""
+
+    OOM = ("Unable to allocate 549. MiB for an array with shape (6000, 6000, 2) "
+           "and data type float64")
+
+    @staticmethod
+    def record_stderr(monkeypatch):
+        # patched in the test body: the capture plugin resets sys.stderr
+        # between a fixture's setup and the call
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+            def flush(self):
+                pass
+
+            def error_lines(self):
+                return [w for w in self.writes if "error" in w]
+
+        recorder = Recorder()
+        monkeypatch.setattr("sys.stderr", recorder)
+        return recorder
+
+    @pytest.fixture
+    def out_of_memory(self, monkeypatch):
+        # the host refuses the generator's arrays; the refusal is faked, so
+        # nothing is allocated
+        def refusing(*args, **kwargs):
+            raise MemoryError(self.OOM)
+
+        monkeypatch.setattr("epiqubo.dataio.generate_synthetic", refusing)
+
+    @staticmethod
+    def document(path, **keys):
+        values = {"model": "sis", "lambda": "0.01", "mu": "0.1", "gamma": "1e-6", "steps": "1",
+                  "profile": "complete", "m": "3", **keys}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        return str(path)
+
+    def test_out_of_memory_in_generate_exits_one(self, tmp_path, monkeypatch, out_of_memory):
+        stderr = self.record_stderr(monkeypatch)
+        code = cli_dispatch(
+            ["generate", "--m", "6000", "--profile", "gravity", "--out", str(tmp_path / "g")]
+        )
+        assert code == 1
+        assert stderr.writes == [f"error: {self.OOM}\n"]
+
+    def test_out_of_memory_in_batch_document_exits_one(self, tmp_path, monkeypatch, out_of_memory):
+        scen = self.document(tmp_path / "g.txt", profile="gravity", m="6000")
+        stderr = self.record_stderr(monkeypatch)
+        assert cli_dispatch(["batch", scen, "--out", str(tmp_path / "o")]) == 1
+        assert stderr.error_lines() == [f"error in {scen}: {self.OOM}\n"]
+
+    def test_other_exception_in_control_exits_two(self, workspace, monkeypatch):
+        def broken(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("epiqubo.cli._run_control", broken)
+        stderr = self.record_stderr(monkeypatch)
+        code = cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--lambda", "0.02",
+             "--mu", "0.05", "--gamma", "1e-7", "--out", str(workspace["dir"] / "run")]
+        )
+        assert code == 2
+        assert stderr.error_lines() == ["runtime error: 'boom'\n"]
+
+    def test_other_exception_in_batch_document_exits_two_and_the_next_runs(
+        self, tmp_path, monkeypatch
+    ):
+        run_control = epiqubo.cli._run_control
+
+        def broken_first(cfg, state0, echo, out_dir):
+            if Path(out_dir).name == "a":
+                raise KeyError("boom")
+            return run_control(cfg, state0, echo, out_dir)
+
+        monkeypatch.setattr("epiqubo.cli._run_control", broken_first)
+        first = self.document(tmp_path / "a.scenario")
+        second = self.document(tmp_path / "b.scenario")
+        out = tmp_path / "o"
+        stderr = self.record_stderr(monkeypatch)
+        assert cli_dispatch(["batch", first, second, "--out", str(out)]) == 2
+        assert stderr.error_lines() == [f"runtime error in {first}: 'boom'\n"]
+        assert (out / "b" / "report.json").exists()
+
+    def test_worst_code_of_the_documents_is_returned(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("epiqubo.cli._run_control", broken)
+        invalid = self.document(tmp_path / "a.scenario", model="seir")
+        failing = self.document(tmp_path / "b.scenario")
+        stderr = self.record_stderr(monkeypatch)
+        assert cli_dispatch(["batch", invalid, failing, "--out", str(tmp_path / "o")]) == 2
+        assert stderr.error_lines() == [
+            f"error in {invalid}: scenario key 'model': expected sis or sir, got 'seir'\n",
+            f"runtime error in {failing}: 'boom'\n",
+        ]
+
+
+class TestRefusalsPinned:
+    """Refusals no other test reaches, each with its exit code and message."""
+
+    def test_simulate_negative_steps(self, workspace, capsys):
+        code = cli_dispatch(
+            ["simulate", *network_flags(workspace), "--model", "sis", "--lambda", "0.01",
+             "--mu", "0.05", "--steps", "-1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: steps must be nonnegative\n"
+
+    def test_empty_csv(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        code = cli_dispatch(
+            ["export-network", "--network", workspace["edges"], "--population", str(empty),
+             "--out", str(tmp_path / "canon")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {empty}: empty file, expected header ['location', 'name', 'population']\n"
+        )
+
+    def test_generate_zero_locations(self, tmp_path, capsys):
+        assert cli_dispatch(["generate", "--m", "0", "--out", str(tmp_path / "g")]) == 1
+        assert capsys.readouterr().err == "error: m must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model = sis\noops\n", "scenario line 2: expected 'key = value', got 'oops'"),
+            ("model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 0\nedges = e.csv\n",
+             "file-based scenario needs both 'edges' and 'population'"),
+            ("model = sis\nlambda = 0.01\nmu = 0.1\ngamma = 0\nprofile = ring\n",
+             "synthetic scenario needs both 'profile' and 'm'"),
+        ],
+        ids=["no-equals", "edges-only", "profile-only"],
+    )
+    def test_scenario_document(self, tmp_path, capsys, text, message):
+        scen = tmp_path / "bad.scenario"
+        scen.write_text(text, encoding="utf-8")
+        assert cli_dispatch(["batch", str(scen), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error in {scen}: {message}\n"
+
+    def test_metrics_of_header_only_trajectory(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("step,total,loc_0\n", encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text("step,total,loc_0\n0,1.0,1.0\n", encoding="utf-8")
+        assert cli_dispatch(["metrics", "--controlled", str(empty), "--baseline", str(good)]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no rows\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty document, expected QUBO header"),
+            ("# QUBO M=-1 offset=0.0\n", "line 1: variable count must be nonnegative"),
+            ("# QUBO M=x offset=0.0\n",
+             "line 1: bad header value (invalid literal for int() with base 10: 'x')"),
+        ],
+        ids=["empty", "negative-m", "m-not-an-integer"],
+    )
+    def test_qubo_document(self, tmp_path, capsys, text, message):
+        qfile = tmp_path / "bad.qubo"
+        qfile.write_text(text, encoding="utf-8")
+        assert cli_dispatch(["solve", str(qfile)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestSisCasesCarryNoRemoved:
+    """SIS has no removed compartment, so a nonzero removed count in the
+    cases file is refused before any step instead of being dropped."""
+
+    @pytest.fixture
+    def ring(self, tmp_path):
+        net = tmp_path / "net"
+        assert cli_dispatch(
+            ["generate", "--m", "5", "--profile", "ring", "--seed", "1", "--out", str(net)]
+        ) == 0
+        (tmp_path / "cases.csv").write_text(
+            "location,infected,removed\n0,10,3\n", encoding="utf-8"
+        )
+        return {"edges": str(net / "edges.csv"), "population": str(net / "population.csv"),
+                "cases": str(tmp_path / "cases.csv")}
+
+    def message(self, ring):
+        cases = Path(ring["cases"]).resolve()
+        return (f"{cases}: model sis has no removed compartment, "
+                "but location 0 has removed count 3.0")
+
+    def test_control_exits_one(self, ring, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = cli_dispatch(
+            ["control", *network_flags(ring), "--model", "sis", "--r0", "0.3", "--mu", "0.2",
+             "--gamma", "1e-6", "--steps", "2", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {self.message(ring)}\n"
+        assert not out.exists()
+
+    def test_batch_document_gets_its_error_line(self, ring, tmp_path, capsys):
+        scen = tmp_path / "sis.scenario"
+        scen.write_text(
+            "model = sis\nr0 = 0.3\nmu = 0.2\ngamma = 1e-6\nsteps = 2\n"
+            "profile = ring\nm = 5\nnetwork_seed = 1\n"
+            f"cases = {ring['cases']}\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert cli_dispatch(["batch", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error in {scen}: {self.message(ring)}\n"
+        assert not (out / "sis").exists()
+
+
+class TestNonFiniteCsvValues:
+    """A population, weight or case count that reads as nan or an infinity is
+    a bad value of its file and row, refused before any step."""
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("population", "nan", "bad population 'nan' for '1'"),
+            ("weight", "inf", "bad weight 'inf' (row 2)"),
+            ("infected", "-inf", "bad infected count '-inf' (row 2)"),
+            ("removed", "nan", "bad removed count 'nan' (row 2)"),
+        ],
+    )
+    def test_control_exits_one_naming_file_and_row(
+        self, workspace, tmp_path, capsys, column, value, message
+    ):
+        files = dict(workspace)
+        if column == "population":
+            bad = tmp_path / "population.csv"
+            bad.write_text(
+                "location,name,population\n0,a,100\n1,b,nan\n2,c,100\n3,d,100\n", encoding="utf-8"
+            )
+            files["population"] = str(bad)
+        elif column == "weight":
+            bad = tmp_path / "edges.csv"
+            bad.write_text("from,to,weight\n0,1,inf\n", encoding="utf-8")
+            files["edges"] = str(bad)
+        else:
+            bad = tmp_path / "cases.csv"
+            row = "-inf,0" if column == "infected" else "10,nan"
+            bad.write_text(f"location,infected,removed\n0,{row}\n", encoding="utf-8")
+            files["cases"] = str(bad)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = cli_dispatch(
+            ["control", *network_flags(files), "--model", "sir", "--lambda", "0.02",
+             "--mu", "0.05", "--gamma", "1e-7", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()

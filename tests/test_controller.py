@@ -27,10 +27,9 @@ from epiqubo import (
     run_uncontrolled_baseline,
     simulate,
     solve,
-    solve_bruteforce_problem1,
 )
 from epiqubo.dataio import generate_synthetic
-from conftest import random_instance
+from conftest import random_instance, solve_bruteforce_problem1
 
 
 def small_scenario(rng, kind=ModelKind.SIS, m=6, gamma=1e-3, **overrides):

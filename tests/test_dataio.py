@@ -396,6 +396,8 @@ def _reference_edges(path, resolver, m):
         seen.add((i, j))
         try:
             w = float(row["weight"])
+            if not np.isfinite(w):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: bad weight {row['weight']!r} (row {rownum})")
         if w < 0:
@@ -501,6 +503,8 @@ def _reference_populations(path):
         loc, name = raw_loc.strip(), raw_name.strip()
         try:
             pop = float(raw_pop)
+            if not np.isfinite(pop):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: bad population {raw_pop!r} for {loc!r}")
         if pop <= 0:
@@ -535,6 +539,8 @@ def _reference_cases(path, resolver, populations):
         named.add(idx)
         try:
             inf = float(row["infected"])
+            if not np.isfinite(inf):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: bad infected count {row['infected']!r} (row {rownum})")
         if inf < 0:
@@ -542,6 +548,8 @@ def _reference_cases(path, resolver, populations):
         raw = row.get("removed", "")
         try:
             rem = float(raw) if raw else 0.0
+            if not np.isfinite(rem):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{path}: bad removed count {raw!r} (row {rownum})")
         if rem < 0:

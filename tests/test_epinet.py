@@ -274,6 +274,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(two_node, params, EpidemicState([150.0, 0.0]), None, 1)
 
+    def test_infected_plus_removed_beyond_population_rejected(self, two_node):
+        params = EpidemicParams(ModelKind.SIR, 0.2, 0.1)
+        state = EpidemicState([60.0, 0.0], [50.0, 0.0])
+        with pytest.raises(ValueError, match="^infected plus removed exceed local populations$"):
+            simulate(two_node, params, state, None, 1)
+
 
 class TestRecorder:
     """``simulate`` and the controller record runs through one loop."""

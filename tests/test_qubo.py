@@ -31,7 +31,6 @@ from epiqubo import (
     import_qubo,
     restrict,
     simulate,
-    solve_bruteforce_problem1,
     solve_exhaustive,
     to_control,
 )
@@ -43,7 +42,7 @@ from epiqubo.epinet import (
     invariance_bound,
     spectral_growth_factor,
 )
-from conftest import all_bits, random_instance, random_qubo
+from conftest import all_bits, random_instance, random_qubo, solve_bruteforce_problem1
 
 
 def coeffs_close(a: float, b: float, scale: float = 1.0) -> bool:
