@@ -316,11 +316,11 @@ def _cmd_control(args) -> int:
     cfg, state0, echo = _resolve_scenario(_flag_values(args), Path())
     report = _run_control(cfg, state0, echo, args.out)
     m = report["metrics"]
-    print(
-        f"peak reduction: {m['peak_reduction_pct']}%  "
-        f"average reduction: {m['avg_reduction_pct']}%",
-        file=sys.stderr,
+    peak, avg = (
+        "undefined" if pct is None else f"{pct}%"
+        for pct in (m["peak_reduction_pct"], m["avg_reduction_pct"])
     )
+    print(f"peak reduction: {peak}  average reduction: {avg}", file=sys.stderr)
     return 0
 
 

@@ -301,6 +301,8 @@ def generate_synthetic(m: int, profile: str, seed: int) -> LocationNetwork:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     try:
         weights = np.zeros((m, m))
+        # gravity's squared y distances; its other steps work in ``weights``
+        dy2 = np.empty((m, m)) if profile == "gravity" else None
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"m={m} needs a {m}x{m} weight matrix that cannot be allocated") from exc
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -315,11 +317,13 @@ def generate_synthetic(m: int, profile: str, seed: int) -> LocationNetwork:
             weights[:] = COMPLETE_WEIGHT
             np.fill_diagonal(weights, 0.0)
         else:
-            coords = rng.uniform(0.0, 1.0, size=(m, 2))
-            diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
+            x, y = rng.uniform(0.0, 1.0, size=(m, 2)).T
+            np.square(np.subtract.outer(x, x, out=weights), out=weights)
+            np.square(np.subtract.outer(y, y, out=dy2), out=dy2)
+            weights += dy2
+            np.sqrt(weights, out=weights)
             with np.errstate(divide="ignore"):
-                weights = populations[None, :] / dist
+                np.divide(populations, weights, out=weights)
             np.fill_diagonal(weights, 0.0)
             weights *= GRAVITY_MAX_WEIGHT / weights.max()
     return LocationNetwork(populations, weights)

@@ -471,18 +471,24 @@ def _rho_of_unit_shifted(b: np.ndarray) -> float:
     A nilpotent B is detected exactly: iterating B on the all-ones vector
     reaches zero within M steps, certifying rho(B) = 0 and a result of 1.
     Each iterate is divided by its largest entry, so it cannot overflow; B
-    is nonnegative, so the scaling never turns a nonzero iterate into zero.
+    is nonnegative, so the scaling never turns a nonzero iterate into zero,
+    and the iterates' supports can only shrink.  A support that keeps its
+    size is therefore a fixed point and never empties, which ends the scan.
     Otherwise I + B is iterated directly; its unit diagonal removes the
     periodicity that stalls power iteration on bare adjacency structures.
     """
     m = b.shape[0]
     v = np.ones(m)
+    support = m
     for _ in range(m):
         v = b @ v
         top = v.max()
         if top == 0.0:
             return 1.0
         v /= top
+        previous, support = support, np.count_nonzero(v)
+        if support == previous:
+            break
     x = np.ones(m)
     for _ in range(SPECTRAL_MAX_ITER):
         y = x + b @ x

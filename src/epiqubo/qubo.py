@@ -57,6 +57,7 @@ __all__ = [
     "to_control",
     "from_control",
     "BUILDER_NAMES",
+    "build_qubo",
     "build_qubo_numeric",
     "build_qubo_sis_analytic",
     "build_qubo_sir_analytic",

@@ -173,12 +173,11 @@ def solve_exhaustive(q: QuboProblem) -> SolveResult:
     best_val = np.inf
     best_bits: np.ndarray | None = None
     evals = 0
-    values = np.empty_like(base_low)  # reused, so no block holds two at once
     # with no high bits, the single block is the empty row and adds zeros
     for kh in range(1 << high_bits):
         zh = _bit_rows(1, high_bits, kh)[0].astype(np.float64)
         const = q.offset + zh @ p_high + 0.5 * zh @ s_high @ zh
-        np.add(base_low, const, out=values)
+        values = base_low + const
         values += (zh @ cross) @ zl.T
         k = int(np.argmin(values))
         evals += zl.shape[0]
@@ -276,9 +275,7 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
     move is admissible when its bit left the tabu list or when it would beat
     the best value ever seen (aspiration).  A descent ends after the
     configured stagnation span; fresh restarts draw from spawned substreams
-    until the restart cap or the evaluation budget runs out.  Moves work in
-    preallocated buffers; only the exact check of a candidate new best
-    allocates.
+    until the restart cap or the evaluation budget runs out.
     """
     m = q.m
     start = time.perf_counter()
@@ -289,10 +286,6 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
         cfg.ts_stagnation_limit if cfg.ts_stagnation_limit is not None else 50 * m
     )
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.ts_restarts)
-    deltas = np.empty(m)
-    masked = np.empty(m)
-    barred = np.empty(m, dtype=bool)
-    no_gain = np.empty(m, dtype=bool)
 
     evals = 0
     best_val = np.inf
@@ -316,20 +309,15 @@ def solve_tabu(q: QuboProblem, cfg: SolverConfig) -> SolveResult:
         stagnant = 0
         # a move costs m evaluations; with no bits there is no move
         while 0 < m <= cfg.budget - evals and stagnant < stagnation_cap:
-            np.multiply(signs, fields, out=deltas)
+            deltas = signs * fields
             evals += m
             # a move is barred when it is tabu and would not beat the best
             # value: the exact complement of the admissible test
-            np.greater(tabu_until, iteration, out=barred)
-            np.add(deltas, value, out=masked)
-            np.greater_equal(masked, best_val, out=no_gain)
-            np.logical_and(barred, no_gain, out=barred)
+            barred = (tabu_until > iteration) & (deltas + value >= best_val)
             if barred.all():
                 i = int(np.argmin(tabu_until))  # earliest-expiring move
             else:
-                np.copyto(masked, deltas)
-                np.copyto(masked, np.inf, where=barred)
-                i = int(np.argmin(masked))
+                i = int(np.argmin(np.where(barred, np.inf, deltas)))
             value += float(deltas[i])
             if signs[i] > 0.0:
                 fields += s[i]  # s is symmetric: row i is column i

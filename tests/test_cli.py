@@ -413,6 +413,32 @@ class TestControl:
         assert np.all(infected <= net.populations + 1e-9)
 
 
+class TestControlReductionLine:
+    def test_undefined_reductions_print_without_percent(self, tmp_path, capsys):
+        # no cases file: nothing is infected, so the uncontrolled peak is 0
+        netdir = tmp_path / "net"
+        assert cli_dispatch(["generate", "--m", "5", "--profile", "ring", "--seed", "1", "--out", str(netdir)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert cli_dispatch(
+            ["control", "--network", str(netdir / "edges.csv"),
+             "--population", str(netdir / "population.csv"), "--model", "sis", "--r0", "0.3",
+             "--mu", "0.2", "--gamma", "1e-6", "--steps", "2", "--out", str(out)]
+        ) == 0
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert metrics["peak_reduction_pct"] is None and metrics["avg_reduction_pct"] is None
+        assert capsys.readouterr().err == "peak reduction: undefined  average reduction: undefined\n"
+
+    def test_defined_reductions_print_as_percentages(self, workspace, capsys):
+        out = workspace["dir"] / "run"
+        assert TestControl().run_control(workspace, out) == 0
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert capsys.readouterr().err == (
+            f"peak reduction: {metrics['peak_reduction_pct']}%  "
+            f"average reduction: {metrics['avg_reduction_pct']}%\n"
+        )
+
+
 class TestMetricsCommand:
     def test_metrics_from_trajectory_files(self, workspace, capsys):
         out = workspace["dir"] / "mrun"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -821,6 +822,58 @@ class TestSyntheticNetworks:
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             generate_synthetic(3, "torus", 0)
+
+
+def _reference_gravity(m, seed):
+    """The gravity network as the (M, M, 2) difference expression built it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    lo, hi = dataio.GRAVITY_POP_RANGE
+    populations = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
+    weights = np.zeros((m, m))
+    if m > 1:
+        coords = rng.uniform(0.0, 1.0, size=(m, 2))
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        with np.errstate(divide="ignore"):
+            weights = populations[None, :] / dist
+        np.fill_diagonal(weights, 0.0)
+        weights *= dataio.GRAVITY_MAX_WEIGHT / weights.max()
+    return populations, weights
+
+
+class TestGravityMemory:
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("m", [1, 2, 3, 18, 60, 107, 300])
+    def test_matches_difference_expression_bitwise(self, m, seed):
+        net = generate_synthetic(m, "gravity", seed)
+        populations, weights = _reference_gravity(m, seed)
+        assert net.populations.tobytes() == populations.tobytes()
+        assert net.weights.tobytes() == weights.tobytes()
+
+    def test_peak_stays_near_two_weight_matrices(self):
+        # the weights and one buffer of squared differences; the (M, M, 2)
+        # difference expression peaked near six M x M arrays
+        m = 2000
+        tracemalloc.start()
+        try:
+            generate_synthetic(m, "gravity", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * m * m * 8
+
+    def test_refused_second_matrix_names_m(self, monkeypatch):
+        m = 50
+        allocate = np.empty
+
+        def refuse_square(shape, *args, **kwargs):
+            if shape == (m, m):
+                raise MemoryError("refused")
+            return allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_square)
+        with pytest.raises(ValueError, match=f"m={m} needs a {m}x{m} weight matrix"):
+            generate_synthetic(m, "gravity", 0)
 
 
 class TestInitialState:

@@ -26,7 +26,8 @@ from epiqubo import (
     validate_network,
 )
 from epiqubo.dataio import generate_synthetic
-from epiqubo.epinet import batch_infection_cost, step_arrays
+from epiqubo import epinet
+from epiqubo.epinet import _rho_of_unit_shifted, batch_infection_cost, step_arrays
 from conftest import random_instance, random_network
 
 
@@ -430,3 +431,63 @@ class TestSpectral:
             got = infection_rate_from_r0(3.0, 0.1, net)
         rho = float(np.abs(np.linalg.eigvals(net.weights + np.eye(net.m))).max())
         assert got == pytest.approx(3.0 * 0.1 / rho, rel=1e-9)
+
+
+def _reference_rho(b):
+    """``_rho_of_unit_shifted`` with its nilpotency scan run all M steps."""
+    m = b.shape[0]
+    v = np.ones(m)
+    for _ in range(m):
+        v = b @ v
+        top = v.max()
+        if top == 0.0:
+            return 1.0
+        v /= top
+    x = np.ones(m)
+    for _ in range(epinet.SPECTRAL_MAX_ITER):
+        y = x + b @ x
+        est = float(np.dot(x, y) / np.dot(x, x))
+        resid = float(np.linalg.norm(y - est * x) / np.linalg.norm(x))
+        if resid <= epinet.SPECTRAL_TOL * est:
+            return est
+        x = y / np.linalg.norm(y)
+    raise AssertionError("reference power iteration did not converge")
+
+
+def _random_dag(rng, m, density):
+    """Nonnegative weights on a random order's forward edges: B is nilpotent."""
+    upper = np.triu(rng.uniform(0.0, 1.0, size=(m, m)) * (rng.random((m, m)) < density), 1)
+    order = rng.permutation(m)
+    return upper[np.ix_(order, order)]
+
+
+class TestNilpotencyScan:
+    @pytest.mark.parametrize("m", [1, 2, 5, 40, 300])
+    def test_dags_return_exactly_one(self, rng, m):
+        for density in (0.05, 0.5, 1.0):
+            assert _rho_of_unit_shifted(_random_dag(rng, m, density)) == 1.0
+        chain = np.diag(np.full(m - 1, 0.5), 1)
+        assert _rho_of_unit_shifted(chain) == 1.0
+
+    @pytest.mark.parametrize("profile", ["gravity", "ring", "complete"])
+    @pytest.mark.parametrize("m", [18, 21, 60, 107, 300])
+    def test_study_networks_match_full_scan_bitwise(self, profile, m):
+        weights = generate_synthetic(m, profile, 2024).weights
+        assert _rho_of_unit_shifted(weights) == _reference_rho(weights)
+        # isolating locations zeroes rows, as spectral_growth_factor does
+        u = np.random.default_rng(m).integers(0, 2, size=m)
+        scaled = (1 - u)[:, None] * weights
+        assert _rho_of_unit_shifted(scaled) == _reference_rho(scaled)
+
+    def test_random_nonnegative_matrices_match_full_scan_bitwise(self, rng):
+        for _ in range(200):
+            m = int(rng.integers(1, 40))
+            density = float(rng.choice([0.02, 0.05, 0.1, 0.3, 1.0]))
+            b = rng.uniform(0.0, 1.0, size=(m, m)) * (rng.random((m, m)) < density)
+            if rng.random() < 0.5:
+                # a DAG around one dense block: supports shrink for
+                # several steps before they settle
+                b = _random_dag(rng, m, density)
+                k = int(rng.integers(1, m + 1))
+                b[:k, :k] = rng.uniform(0.0, 1.0, size=(k, k))
+            assert _rho_of_unit_shifted(b) == _reference_rho(b)

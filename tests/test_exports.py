@@ -40,3 +40,13 @@ def test_every_timed_span_names_a_public_layer_function(monkeypatch):
             if not public or fn.__module__ != module.__name__:
                 missing.append((metric, span))
     assert missing == []
+
+
+def test_every_package_export_is_exported_by_its_defining_module():
+    # a name the package re-exports is public in the module that defines it too
+    unlisted = []
+    for name in epiqubo.__all__:
+        module = importlib.import_module(getattr(epiqubo, name).__module__)
+        if name not in module.__all__:
+            unlisted.append(f"{module.__name__}.{name}")
+    assert unlisted == []
