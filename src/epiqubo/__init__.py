@@ -23,7 +23,6 @@ from .epinet import (
     Trajectory,
     ValidationReport,
     cost,
-    infection_force,
     infection_rate_from_r0,
     invariance_bound,
     simulate,
@@ -50,7 +49,6 @@ from .qubo import (
 from .solvers import (
     SolveResult,
     SolverConfig,
-    incremental_delta,
     solve,
     solve_exhaustive,
     solve_genetic,
@@ -86,8 +84,6 @@ __all__ = [
     "fix_persistent",
     "from_control",
     "import_qubo",
-    "incremental_delta",
-    "infection_force",
     "infection_rate_from_r0",
     "invariance_bound",
     "restrict",

@@ -325,12 +325,17 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    totals_c, m_c = dataio._trajectory_totals(args.controlled)
-    totals_u, m_u = dataio._trajectory_totals(args.baseline)
+    totals_c, m_c = dataio.read_trajectory_totals(args.controlled)
+    totals_u, m_u = dataio.read_trajectory_totals(args.baseline)
     if m_c != m_u:
         raise ValueError(
             f"{args.controlled}: location count {m_c} differs from {m_u} "
             f"in {args.baseline} (row 1)"
+        )
+    if len(totals_c) != len(totals_u):
+        raise ValueError(
+            f"{args.controlled}: step count {len(totals_c) - 1} differs from "
+            f"{len(totals_u) - 1} in {args.baseline}"
         )
     payload = compare_totals(totals_c, totals_u)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

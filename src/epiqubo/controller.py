@@ -92,6 +92,7 @@ class ScenarioConfig:
         if self.builder not in BUILDER_NAMES:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDER_NAMES}")
         replace(self.solver_config, seed=self.seed)  # step 0's solver config checks the seed
+        self.params  # EpidemicParams refuses a rate that is not finite before any bound check
         bound = invariance_bound(self.network)
         if self.force and self.lam > bound:
             logger.warning(

@@ -491,18 +491,14 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def read_trajectory_totals(path: str | Path) -> np.ndarray:
+def read_trajectory_totals(path: str | Path) -> tuple[np.ndarray, int]:
     """Aggregate infected per step from a trajectory CSV as
-    ``trajectory_csv_text`` writes it.  After field counts and quoting,
-    ``qubo._refuse`` names the first failing row by its first failing check:
-    a ``step`` that does not read 0, 1, 2, ... row by row, a ``total`` or
-    ``loc_i`` value that is not a finite, nonnegative number, and a
-    ``total`` other than the sum of its row's ``loc_i`` values."""
-    return _trajectory_totals(path)[0]
-
-
-def _trajectory_totals(path: str | Path) -> tuple[np.ndarray, int]:
-    """``read_trajectory_totals`` and the file's number of locations."""
+    ``trajectory_csv_text`` writes it, and the file's number of locations.
+    After field counts and quoting, ``qubo._refuse`` names the first failing
+    row by its first failing check: a ``step`` that does not read 0, 1, 2,
+    ... row by row, a ``total`` or ``loc_i`` value that is not a finite,
+    nonnegative number, and a ``total`` other than the sum of its row's
+    ``loc_i`` values."""
     parts = []
     chunks = _read_csv_rows(
         path, ["step", "total"], lambda width: [f"loc_{i}" for i in range(width - 2)]

@@ -38,7 +38,6 @@ __all__ = [
     "PowerIterationError",
     "validate_network",
     "invariance_bound",
-    "infection_force",
     "step_sis",
     "step_sir",
     "simulate",
@@ -251,7 +250,7 @@ def check_state(state: EpidemicState, net: LocationNetwork, kind: ModelKind) -> 
         raise ValueError("infected plus removed exceed local populations")
 
 
-def _check_fit(state: EpidemicState, net: LocationNetwork, kind: ModelKind | None) -> None:
+def _check_fit(state: EpidemicState, net: LocationNetwork, kind: ModelKind) -> None:
     if state.m != net.m:
         raise ValueError(f"state has {state.m} locations, network has {net.m}")
     if kind is ModelKind.SIS and state.removed is not None:
@@ -266,18 +265,6 @@ def _control_bits(u, m: int) -> np.ndarray:
 
 def _force(x: np.ndarray, u: np.ndarray, net: LocationNetwork) -> np.ndarray:
     return x + (1 - u) * (x @ net.weights.T)
-
-
-def infection_force(
-    state: EpidemicState, net: LocationNetwork, u=None
-) -> np.ndarray:
-    """Effective infectious pressure per location.
-
-    ``alpha_i = x_i + (1 - u_i) * sum_j A_ij x_j``; ``u=None`` means no
-    location is isolated.
-    """
-    _check_fit(state, net, None)
-    return _force(state.infected, _control_bits(u, net.m), net)
 
 
 def _step(
@@ -510,6 +497,8 @@ def infection_rate_from_r0(r0: float, mu: float, net: LocationNetwork) -> float:
     """
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
+    if not np.isfinite(r0):
+        raise ValueError(f"r0 must be finite, got {r0}")
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
     rho = _rho_of_unit_shifted(net.weights)

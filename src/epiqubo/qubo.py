@@ -20,15 +20,13 @@ exact rational arithmetic.
 
 A problem stores one dense symmetric coupling matrix with a zero diagonal;
 the builders, the text importer and every solver read and write that array.
-The sparse pair view ``{(i, j): value}`` is derived from it on demand.  The
-text format is written and read ``_TEXT_CHUNK_LINES`` lines at a time, so
+The text format is written and read ``_TEXT_CHUNK_LINES`` lines at a time, so
 its memory follows the M x M matrix, not the length of the text.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -66,9 +64,6 @@ __all__ = [
 ]
 
 HORIZON = 2  # the compilation below is exact only for a two-step lookahead
-
-ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
-ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
 # A bit is fixed only when its marginal clears zero by this share of its row's
 # coefficient mass, so roundoff in the sums can never fix a tied bit.
 PERSISTENCY_RTOL = 1e-12
@@ -83,39 +78,17 @@ class QuboParseError(ValueError):
     """Malformed QUBO text; the message carries the offending line number."""
 
 
-def _coupling_from_pairs(pairs: Mapping, m: int) -> np.ndarray:
-    """Dense coupling from ``{(i, j): value}``; (j, i) folds into (i, j)."""
-    upper = np.zeros((m, m))
-    if not pairs:
-        return upper
-    keys = np.array(list(pairs), dtype=np.int64)
-    if keys.shape != (len(pairs), 2):
-        raise ValueError("quadratic keys must be (i, j) index pairs")
-    values = np.array(list(pairs.values()), dtype=np.float64)
-    lo, hi = keys.min(axis=1), keys.max(axis=1)
-    bad = (lo == hi) | (lo < 0) | (hi >= m) | ~np.isfinite(values)
-    if bad.any():
-        i, j = keys[np.argmax(bad)].tolist()
-        raise ValueError(
-            f"pair ({i}, {j}) needs two distinct indices below {m} and a finite coefficient"
-        )
-    np.add.at(upper, (lo, hi), values)
-    return upper + upper.T
-
-
 @dataclass(frozen=True)
 class QuboProblem:
     """Minimize ``offset + linear @ z + z @ coupling @ z / 2`` over binary z.
 
     ``coupling`` is a dense symmetric M x M matrix with a zero diagonal;
-    entry ``[i, j] = [j, i]`` is the coefficient of ``z_i z_j``.  The
-    constructor also takes a pair mapping ``{(i, j): value}`` in its place,
-    folding (j, i) contributions into (i, j).  Signed zeros are stored as
-    +0.0, so equal problems have equal coupling bytes.
+    entry ``[i, j] = [j, i]`` is the coefficient of ``z_i z_j``.  Signed
+    zeros are stored as +0.0, so equal problems have equal coupling bytes.
     """
 
     linear: np.ndarray
-    coupling: np.ndarray | Mapping | None = None
+    coupling: np.ndarray | None = None
     offset: float = 0.0
 
     def __post_init__(self) -> None:
@@ -127,8 +100,6 @@ class QuboProblem:
         m = lin.shape[0]
         if self.coupling is None:
             s = np.zeros((m, m))
-        elif isinstance(self.coupling, Mapping):
-            s = _coupling_from_pairs(self.coupling, m)
         else:
             s = np.asarray(self.coupling, dtype=np.float64)
             if s.shape != (m, m):
@@ -146,13 +117,6 @@ class QuboProblem:
     @property
     def m(self) -> int:
         return self.linear.shape[0]
-
-    @property
-    def quadratic(self) -> dict[tuple[int, int], float]:
-        """Nonzero pairs ``(i, j): value`` with i < j, in lexicographic order."""
-        rows, cols = np.nonzero(np.triu(self.coupling, 1))
-        values = self.coupling[rows, cols]
-        return dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist()))
 
 
 def evaluate(q: QuboProblem, z) -> float:
@@ -308,7 +272,9 @@ def _build_analytic(
     coefficients are assembled below.  ``h`` and ``sigma_next`` are the
     one-step-ahead susceptible fractions with and without the local inflow.
     The compiled dynamics are the unclamped ones; under ``force`` the
-    controller clamps the state after it applies a step.
+    controller clamps the state after it applies a step.  Step 1 is written
+    out rather than taken from ``step_arrays``: ``c`` as the open minus the
+    shut update would cancel, and lose digits the couplings keep here.
     """
     name = kind.value.upper()
     if params.kind is not kind:
@@ -395,16 +361,6 @@ def build_qubo(
     if params.kind is ModelKind.SIS:
         return build_qubo_sis_analytic(net, params, state0, gamma)
     return build_qubo_sir_analytic(net, params, state0, gamma)
-
-
-# -- enumeration -------------------------------------------------------------
-
-
-def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
-    """Rows k = first..first+count-1 as big-endian bit vectors of the given width."""
-    ks = np.arange(count, dtype=np.int64) + first
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((ks[:, None] >> shifts) & 1).astype(np.int8)
 
 
 # -- text format ---------------------------------------------------------------

@@ -18,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qubo import (
-    ENUM_CHUNK_BITS,
-    ENUM_MAX_BITS,
     QuboProblem,
-    _bit_rows,
     batch_evaluate,
     evaluate,
     fix_persistent,
@@ -31,7 +28,6 @@ from .qubo import (
 __all__ = [
     "SolverConfig",
     "SolveResult",
-    "incremental_delta",
     "solve_exhaustive",
     "solve_simulated_annealing",
     "solve_tabu",
@@ -41,6 +37,9 @@ __all__ = [
 ]
 
 SOLVER_NAMES = ("exhaustive", "sa", "tabu", "ga")
+
+ENUM_MAX_BITS = 25  # enumeration refuses more bits than this
+ENUM_CHUNK_BITS = 16  # enumerate 2**16 assignments per vectorized block
 
 
 @dataclass(frozen=True)
@@ -130,16 +129,11 @@ def _result(
     )
 
 
-def incremental_delta(q: QuboProblem, z, i: int) -> float:
-    """Objective change from flipping bit ``i``, without a full re-evaluation.
-
-    Uses the linear coefficient and one dense coupling row, so the work is
-    O(M) rather than the O(M^2) of a full evaluation.
-    """
-    if not (0 <= i < q.m):
-        raise IndexError(f"bit index {i} out of range for {q.m} variables")
-    zz = np.asarray(z)
-    return float((1 - 2 * int(zz[i])) * (q.linear[i] + q.coupling[i] @ zz))
+def _bit_rows(count: int, width: int, first: int = 0) -> np.ndarray:
+    """Rows k = first..first+count-1 as big-endian bit vectors of the given width."""
+    ks = np.arange(count, dtype=np.int64) + first
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((ks[:, None] >> shifts) & 1).astype(np.int8)
 
 
 def solve_exhaustive(q: QuboProblem) -> SolveResult:

@@ -15,7 +15,8 @@ from epiqubo import (
     invariance_bound,
 )
 from epiqubo.epinet import batch_infection_cost, check_state
-from epiqubo.qubo import ENUM_CHUNK_BITS, ENUM_MAX_BITS, HORIZON, _bit_rows
+from epiqubo.qubo import HORIZON
+from epiqubo.solvers import ENUM_CHUNK_BITS, ENUM_MAX_BITS, _bit_rows
 
 
 def random_network(rng: np.random.Generator, m: int, density: float = 0.5) -> LocationNetwork:
@@ -48,12 +49,12 @@ def random_instance(rng: np.random.Generator, kind: ModelKind, m: int):
 def random_qubo(rng: np.random.Generator, m: int, density: float = 0.5) -> QuboProblem:
     """Random quadratic binary objective with standard-normal coefficients."""
     linear = rng.normal(size=m)
-    quadratic = {}
+    upper = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
             if rng.random() < density:
-                quadratic[(i, j)] = float(rng.normal())
-    return QuboProblem(linear, quadratic, float(rng.normal()))
+                upper[i, j] = rng.normal()
+    return QuboProblem(linear, upper + upper.T, float(rng.normal()))
 
 
 def all_bits(m: int) -> np.ndarray:

@@ -92,6 +92,29 @@ class TestExitCodes:
         assert "states will be clamped" in caplog.text
         assert "force = true" in (out / "scenario.resolved").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("r0", ["nan", "inf"])
+    def test_r0_not_finite_is_named(self, workspace, capsys, r0):
+        out = workspace["dir"] / "hot"
+        code = cli_dispatch(
+            ["control", *network_flags(workspace), "--model", "sir", "--r0", r0,
+             "--mu", "0.1", "--gamma", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: r0 must be finite, got {r0}\n"
+        assert not out.exists()
+
+    def test_infinite_rate_refused_before_the_force_warning(self, workspace, capsys, caplog):
+        out = workspace["dir"] / "forced"
+        with caplog.at_level(logging.WARNING):
+            code = cli_dispatch(
+                ["control", *network_flags(workspace), "--model", "sir", "--lambda", "inf",
+                 "--mu", "0.1", "--gamma", "1", "--force", "--out", str(out)]
+            )
+        assert code == 1
+        assert caplog.records == []
+        assert capsys.readouterr().err == "error: infection rate must be finite and >= 0, got inf\n"
+        assert not out.exists()
+
 
 class TestExhaustiveSizeLimit:
     """The default exhaustive solver enumerates only the bits a control step leaves free."""
@@ -537,6 +560,10 @@ class TestMetricsRefusesMalformedCsv:
         line = self.metrics(tmp_path, capsys, "step,total,loc_0\n0,3.0,3.0\n1,2.0,2.0\n")
         assert line.endswith(f"location count 1 differs from 2 in {tmp_path / 'good.csv'} (row 1)")
 
+    def test_step_counts_differ(self, tmp_path, capsys):
+        line = self.metrics(tmp_path, capsys, "step,total,loc_0,loc_1\n0,3.0,1.0,2.0\n")
+        assert line.endswith(f"step count 0 differs from 1 in {tmp_path / 'good.csv'}")
+
 
 class TestMetricsComparesTotalWithLocations:
     """A trajectory row whose ``total`` is not the sum of its ``loc_i``
@@ -684,6 +711,7 @@ class TestBatch:
              "scenario key 'network_seed': expected a nonnegative integer, got '-1'"),
             ("gamma", "nan", "gamma must be finite and nonnegative, got nan"),
             ("gamma", "inf", "gamma must be finite and nonnegative, got inf"),
+            ("lambda", "inf", "infection rate must be finite and >= 0, got inf"),
             ("m", "10000000", "m=10000000 needs a 10000000x10000000 weight matrix"),
         ],
     )

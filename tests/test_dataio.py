@@ -940,8 +940,9 @@ class TestTrajectoryCsv:
         traj = Trajectory(x, np.zeros((5, 2), dtype=np.int8))
         path = tmp_path / "traj.csv"
         path.write_text(trajectory_csv_text(traj), encoding="utf-8")
-        totals = read_trajectory_totals(path)
+        totals, m = read_trajectory_totals(path)
         assert np.array_equal(totals, traj.totals())
+        assert m == 2
 
     @given(
         m=st.integers(1, 64),
@@ -958,12 +959,15 @@ class TestTrajectoryCsv:
         with tempfile.TemporaryDirectory() as tmp:
             path = write(Path(tmp) / "traj.csv", trajectory_csv_text(traj))
             with mock.patch.object(dataio, "_CSV_CHUNK_ROWS", 2):
-                totals = read_trajectory_totals(path)
+                totals, read_m = read_trajectory_totals(path)
         assert totals.tobytes() == traj.totals().tobytes()
+        assert read_m == m
 
     def test_total_only_file_has_nothing_to_compare(self, tmp_path):
         path = write(tmp_path / "traj.csv", "step,total\n0,5.0\n1,2.0\n")
-        assert np.array_equal(read_trajectory_totals(path), [5.0, 2.0])
+        totals, m = read_trajectory_totals(path)
+        assert np.array_equal(totals, [5.0, 2.0])
+        assert m == 0
 
     def test_total_must_equal_its_location_sum(self, tmp_path):
         path = write(tmp_path / "traj.csv", "step,total,loc_0,loc_1\n0,2.0,1.0,1.0\n1,2.5,1.0,1.0\n")
@@ -975,7 +979,7 @@ class TestTrajectoryCsv:
         rows = [f"{t},1.0,1.0" for t in range(1500)]
         path = tmp_path / "traj.csv"
         path.write_text("step,total,loc_0\n\n" + "\n\n".join(rows) + "\n", encoding="utf-8")
-        assert np.array_equal(read_trajectory_totals(path), np.ones(1500))
+        assert np.array_equal(read_trajectory_totals(path)[0], np.ones(1500))
         rows[1200] = "1201,1.0,1.0"
         path.write_text("step,total,loc_0\n\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"expected 1200, got '1201' \(row 1202\)"):

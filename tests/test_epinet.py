@@ -16,7 +16,6 @@ from epiqubo import (
     LocationNetwork,
     ModelKind,
     cost,
-    infection_force,
     infection_rate_from_r0,
     invariance_bound,
     simulate,
@@ -85,51 +84,43 @@ class TestInvarianceBound:
 
 
 class TestInfectionForce:
-    def test_uncontrolled(self, two_node):
-        alpha = infection_force(EpidemicState([10.0, 0.0]), two_node, [0, 0])
-        assert np.allclose(alpha, [10.0, 5.0])
-
-    def test_full_isolation_keeps_only_local(self, two_node):
-        alpha = infection_force(EpidemicState([10.0, 0.0]), two_node, [1, 1])
-        assert np.array_equal(alpha, [10.0, 0.0])
-
-    def test_disease_free_force_is_zero(self, two_node):
-        alpha = infection_force(EpidemicState([0.0, 0.0]), two_node, [1, 0])
-        assert np.array_equal(alpha, [0.0, 0.0])
-
-    def test_zero_control_matches_uncontrolled_bitwise(self, rng):
-        for _ in range(25):
-            net = random_network(rng, int(rng.integers(2, 8)))
-            x = rng.uniform(0.0, 1.0, net.m) * net.populations
-            state = EpidemicState(x)
-            free = infection_force(state, net, None)
-            zeros = infection_force(state, net, np.zeros(net.m, dtype=int))
-            assert np.array_equal(free, zeros)
+    """Isolation acts on the infection force, as one step applies it."""
 
     def test_dimension_mismatch(self, two_node):
-        with pytest.raises(ValueError):
-            infection_force(EpidemicState([1.0]), two_node, [0, 0])
-        with pytest.raises(ValueError):
-            infection_force(EpidemicState([1.0, 1.0]), two_node, [0, 0, 1])
+        sis = EpidemicParams(ModelKind.SIS, 0.1, 0.1)
+        sir = EpidemicParams(ModelKind.SIR, 0.1, 0.1)
+        with pytest.raises(ValueError, match="state has 1 locations, network has 2"):
+            step_sis(EpidemicState([1.0]), two_node, sis, [0, 0])
+        with pytest.raises(ValueError, match="state has 1 locations, network has 2"):
+            step_sir(EpidemicState([1.0], [0.0]), two_node, sir, [0, 0])
+        with pytest.raises(ValueError, match="bit vector must have length 2"):
+            step_sis(EpidemicState([1.0, 1.0]), two_node, sis, [0, 0, 1])
+        with pytest.raises(ValueError, match="bit vector must have length 2"):
+            step_sir(EpidemicState([1.0, 1.0], [0.0, 0.0]), two_node, sir, [0, 0, 1])
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), idx=st.integers(0, 5))
-    def test_isolation_never_raises_force(self, seed, idx):
-        rng = np.random.default_rng(seed)
-        m = 6
-        net = random_network(rng, m)
-        state = EpidemicState(rng.uniform(0.0, 1.0, m) * net.populations)
-        u_free = np.zeros(m, dtype=int)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        idx=st.integers(0, 5),
+        kind=st.sampled_from([ModelKind.SIS, ModelKind.SIR]),
+    )
+    def test_isolation_never_raises_force(self, seed, idx, kind):
+        # isolating one location removes its inflow from its own force only,
+        # so only its next infected count moves, and never up
+        net, params, state, _ = random_instance(np.random.default_rng(seed), kind, 6)
+        step = step_sis if kind is ModelKind.SIS else step_sir
+        u_free = np.zeros(6, dtype=int)
         u_iso = u_free.copy()
         u_iso[idx] = 1
-        a_free = infection_force(state, net, u_free)
-        a_iso = infection_force(state, net, u_iso)
-        assert a_iso[idx] <= a_free[idx]
+        x_free = step(state, net, params, u_free).infected
+        x_iso = step(state, net, params, u_iso).infected
+        others = np.arange(6) != idx
+        assert np.array_equal(x_iso[others], x_free[others])
         inflow = float(net.weights[idx] @ state.infected)
         if inflow == 0.0:
-            assert a_iso[idx] == a_free[idx]
+            assert x_iso[idx] == x_free[idx]
         else:
-            assert a_iso[idx] < a_free[idx]
+            assert x_iso[idx] < x_free[idx]
 
 
 class TestSteps:

@@ -1,8 +1,10 @@
 """Every exported name resolves, so a moved or removed one cannot linger;
-and every function the benchmark times exists under the name it times."""
+every function the benchmark times exists under the name it times; and
+every exported function has a caller in the package or the benchmark."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -50,3 +52,31 @@ def test_every_package_export_is_exported_by_its_defining_module():
         if name not in module.__all__:
             unlisted.append(f"{module.__name__}.{name}")
     assert unlisted == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names that ``path``'s code uses: bare names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # a public function that only tests call is surface the system never uses
+    package = Path(epiqubo.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [p for p in BENCH.glob("*.py") if not p.name.startswith("test_")]
+    used = set().union(*map(_referenced_names, sources))
+    unused = []
+    for module_name in MODULES[1:]:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            if inspect.isfunction(getattr(module, name)) and name not in used:
+                unused.append(f"{module_name}.{name}")
+    assert unused == []

@@ -14,7 +14,6 @@ from epiqubo import (
     QuboProblem,
     SolverConfig,
     evaluate,
-    incremental_delta,
     solve,
     solve_exhaustive,
     solve_genetic,
@@ -40,7 +39,7 @@ class TestExhaustive:
         assert res.evaluations == 4
 
     def test_quadratic_dominates(self):
-        q = QuboProblem([1.0, 1.0], {(0, 1): -3.0})
+        q = QuboProblem([1.0, 1.0], [[0.0, -3.0], [-3.0, 0.0]])
         res = solve_exhaustive(q)
         assert np.array_equal(res.z_best, [1, 1])
         assert res.objective == -1.0
@@ -72,40 +71,6 @@ class TestExhaustive:
                 (evaluate(q, [(k >> (m - 1 - i)) & 1 for i in range(m)]) for k in range(1 << m))
             )
             assert res.objective == pytest.approx(best, rel=0, abs=1e-12)
-
-
-class TestIncrementalDelta:
-    def test_single_variable(self):
-        q = QuboProblem([5.0])
-        assert incremental_delta(q, [0], 0) == 5.0
-        assert incremental_delta(q, [1], 0) == -5.0
-
-    def test_matches_full_evaluation(self, rng):
-        q = random_qubo(rng, 20)
-        for _ in range(1000):
-            z = rng.integers(0, 2, 20)
-            i = int(rng.integers(20))
-            flipped = z.copy()
-            flipped[i] ^= 1
-            want = evaluate(q, flipped) - evaluate(q, z)
-            assert abs(incremental_delta(q, z, i) - want) <= 1e-12
-
-    def test_index_out_of_range(self, trivial):
-        with pytest.raises(IndexError):
-            incremental_delta(trivial, [0, 1], 2)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_flip_identity_property(self, seed):
-        r = np.random.default_rng(seed)
-        q = random_qubo(r, int(r.integers(2, 12)))
-        z = r.integers(0, 2, q.m)
-        i = int(r.integers(q.m))
-        flipped = z.copy()
-        flipped[i] ^= 1
-        assert evaluate(q, z) + incremental_delta(q, z, i) == pytest.approx(
-            evaluate(q, flipped), rel=0, abs=1e-12
-        )
 
 
 class TestHeuristicContracts:
