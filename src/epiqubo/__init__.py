@@ -8,7 +8,6 @@ metrics reports.
 
 from .controller import (
     ControlLog,
-    MetricsReport,
     ScenarioConfig,
     compute_metrics,
     run_rolling_horizon,
@@ -63,7 +62,6 @@ __all__ = [
     "EpidemicParams",
     "EpidemicState",
     "LocationNetwork",
-    "MetricsReport",
     "ModelKind",
     "PowerIterationError",
     "QuboParseError",

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=ScenarioConfig.steps)
     p.add_argument("--solver", choices=SOLVER_NAMES, default=ScenarioConfig.solver)
     p.add_argument("--builder", choices=BUILDER_NAMES, default=ScenarioConfig.builder)
-    p.add_argument("--seed", type=int, default=ScenarioConfig.seed)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument("--budget", type=int, default=None, help="max objective evaluations per step")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true", help="clamp states instead of refusing")
@@ -222,10 +222,9 @@ def _resolve_scenario(
 
     solver_kwargs = {}
     for field in dataclass_fields(SolverConfig):
-        if field.name == "seed" or field.name not in values:
-            continue
-        number = int if field.type in ("int", "int | None") else float
-        solver_kwargs[field.name] = _number(values, field.name, number)
+        if field.name in values:
+            number = int if field.type in ("int", "int | None") else float
+            solver_kwargs[field.name] = _number(values, field.name, number)
     force = values.get("force", "false")
     if force.lower() not in ("true", "false"):
         raise ValueError(f"scenario key 'force': expected true or false, got {force!r}")
@@ -235,7 +234,7 @@ def _resolve_scenario(
         lam=lam,
         mu=mu,
         gamma=_number(values, "gamma", float),
-        **{key: _number(values, key, int) for key in ("steps", "seed") if key in values},
+        steps=_number(values, "steps", int, str(ScenarioConfig.steps)),
         **{key: values[key] for key in ("solver", "builder") if key in values},
         solver_config=SolverConfig(**solver_kwargs),
         force=force.lower() == "true",

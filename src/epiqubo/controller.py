@@ -4,16 +4,16 @@ At every step the two-step objective is recompiled from the current state,
 minimized, and only the first action of the resulting plan is applied; the
 loop then repeats from the advanced state.  Before each solve, the bits that
 every minimizer shares are fixed (``qubo.fix_persistent``) and the solver
-sees only the objective over the remaining free bits.  Per-step solver
-seeds derive from the base seed plus the step index, so a full run is
-reproducible while the solver randomness stays decorrelated across steps.
+sees only the objective over the remaining free bits.  Step t solves with
+the solver config's seed plus t, so a full run is reproducible while the
+solver randomness stays decorrelated across steps.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,12 +31,11 @@ from .epinet import (
     validate_network,
 )
 from .qubo import BUILDER_NAMES, build_qubo, to_control
-from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
+from .solvers import SOLVER_NAMES, SolveResult, SolverConfig, _fix_and_solve
 
 __all__ = [
     "ScenarioConfig",
     "ControlLog",
-    "MetricsReport",
     "run_rolling_horizon",
     "run_uncontrolled_baseline",
     "compute_metrics",
@@ -67,7 +66,6 @@ class ScenarioConfig:
     solver: str = "exhaustive"
     solver_config: SolverConfig = field(default_factory=SolverConfig)
     builder: str = "analytic"
-    seed: int = 0
     force: bool = False
 
     def __post_init__(self) -> None:
@@ -91,7 +89,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDER_NAMES}")
-        replace(self.solver_config, seed=self.seed)  # step 0's solver config checks the seed
         self.params  # EpidemicParams refuses a rate that is not finite before any bound check
         bound = invariance_bound(self.network)
         if self.force and self.lam > bound:
@@ -108,43 +105,14 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ControlLog:
-    """Per-step record of a rolling-horizon run."""
+    """A rolling-horizon run: its trajectory and each step's solve result."""
 
     trajectory: Trajectory
-    objectives: np.ndarray
-    wall_times: np.ndarray
-    evaluations: np.ndarray
+    results: tuple[SolveResult, ...]
 
     def __post_init__(self) -> None:
-        steps = self.trajectory.num_steps
-        for name in ("objectives", "wall_times", "evaluations"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (steps,):
-                raise ValueError(f"{name} must have one entry per step")
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Controlled-vs-uncontrolled summary.
-
-    ``peak_reduction_pct`` / ``avg_reduction_pct`` are None when the
-    corresponding baseline quantity is zero (reduction undefined).
-    """
-
-    peak_uncontrolled: float
-    peak_controlled: float
-    avg_uncontrolled: float
-    avg_controlled: float
-    peak_reduction_pct: float | None
-    avg_reduction_pct: float | None
-    per_location_peak_uncontrolled: np.ndarray
-    per_location_peak_controlled: np.ndarray
-
-    def as_dict(self) -> dict:
-        """JSON-ready view, keyed by field name in field order."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+        if len(self.results) != self.trajectory.num_steps:
+            raise ValueError("results must have one entry per step")
 
 
 def _advance(
@@ -198,30 +166,21 @@ def run_rolling_horizon(cfg: ScenarioConfig, state0: EpidemicState) -> ControlLo
 
     Each step fixes the persistent bits, solves the objective restricted to
     the free ones and lifts the result back to every location
-    (``solvers._fix_and_solve``).  ``evaluations`` counts the solve of the
-    restricted objective, ``wall_times`` the fixing plus the solve, and
-    ``objectives`` the full objective at the applied plan.
+    (``solvers._fix_and_solve``); its result is kept in ``results``.
     """
-    objectives: list[float] = []
-    wall_times: list[float] = []
-    evaluations: list[int] = []
+    results: list[SolveResult] = []
 
     def plan(t: int, state: EpidemicState) -> np.ndarray:
         q = build_qubo(cfg.network, cfg.params, state, cfg.gamma, cfg.builder)
-        step_cfg = replace(cfg.solver_config, seed=cfg.seed + t)
+        step_cfg = replace(cfg.solver_config, seed=cfg.solver_config.seed + t)
         try:
             result = _fix_and_solve(q, cfg.solver, step_cfg)
         except Exception as exc:
             raise RuntimeError(f"solver failed at step {t}: {exc}") from exc
-        objectives.append(result.objective)
-        wall_times.append(result.wall_time)
-        evaluations.append(result.evaluations)
+        results.append(result)
         return to_control(result.z_best)
 
-    traj = _run_loop(cfg, state0, plan)
-    return ControlLog(
-        traj, np.array(objectives), np.array(wall_times), np.array(evaluations, dtype=np.int64)
-    )
+    return ControlLog(_run_loop(cfg, state0, plan), tuple(results))
 
 
 def run_uncontrolled_baseline(cfg: ScenarioConfig, state0: EpidemicState) -> Trajectory:
@@ -253,13 +212,14 @@ def compare_totals(totals_c: np.ndarray, totals_u: np.ndarray) -> dict:
     }
 
 
-def compute_metrics(controlled: ControlLog, baseline: Trajectory) -> MetricsReport:
-    """``compare_totals`` of the two runs plus per-location peaks."""
+def compute_metrics(controlled: ControlLog, baseline: Trajectory) -> dict:
+    """``compare_totals`` of the two runs plus per-location peaks, as the
+    report's metrics dict."""
     traj = controlled.trajectory
     if traj.num_steps != baseline.num_steps or traj.m != baseline.m:
         raise ValueError("controlled and baseline runs must cover the same window")
-    return MetricsReport(
+    return {
         **compare_totals(traj.totals(), baseline.totals()),
-        per_location_peak_uncontrolled=baseline.infected.max(axis=0),
-        per_location_peak_controlled=traj.infected.max(axis=0),
-    )
+        "per_location_peak_uncontrolled": baseline.infected.max(axis=0).tolist(),
+        "per_location_peak_controlled": traj.infected.max(axis=0).tolist(),
+    }

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import ControlLog, MetricsReport
+from .controller import ControlLog
 from .epinet import EpidemicState, LocationNetwork, ModelKind, Trajectory
 from .qubo import _parsed, _refuse, _repeats
 from .solvers import SolverConfig
@@ -192,11 +192,19 @@ def _refs(resolver: dict[str, int], column) -> np.ndarray:
     return np.array([resolver.get(ref.strip(), -1) for ref in column], dtype=np.intp)
 
 
-def _load_edges(path: str | Path, resolver: dict[str, int], m: int) -> np.ndarray:
-    weights = np.zeros((m, m))
-    # pairs i * m + j loaded so far; the spare last key stands for an unknown
-    # reference and is never set, since such a row fails before this check
-    seen = np.zeros(m * m + 1, dtype=bool)
+def _load_edges(
+    path: str | Path, resolver: dict[str, int], m: int, population: str | Path
+) -> np.ndarray:
+    try:
+        weights = np.zeros((m, m))
+        # pairs i * m + j loaded so far; the spare last key stands for an unknown
+        # reference and is never set, since such a row fails before this check
+        seen = np.zeros(m * m + 1, dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"{population}: M={m} locations need a {m}x{m} weight matrix "
+            "that cannot be allocated"
+        ) from exc
     chunks = _read_csv_rows(path, ["from", "to", "weight"])
     with _field_counts_first(chunks):
         for row0, cols in chunks:
@@ -262,7 +270,7 @@ def load_network(files: NetworkFiles):
     cases file has no removed column.
     """
     populations, names, resolver = _load_populations(files.population)
-    weights = _load_edges(files.edges, resolver, len(populations))
+    weights = _load_edges(files.edges, resolver, len(populations), files.population)
     net = LocationNetwork(populations, weights)
     if files.cases is None:
         return net, names, np.zeros(net.m), None
@@ -438,7 +446,7 @@ def scenario_to_text(echo: dict) -> str:
 def write_run_report(
     out_dir: str | Path,
     echo: dict,
-    metrics: MetricsReport,
+    metrics: dict,
     log: ControlLog,
     baseline: Trajectory,
 ) -> dict:
@@ -450,13 +458,13 @@ def write_run_report(
     documents there.
     """
     traj = log.trajectory
-    wall = log.wall_times
+    wall = np.array([r.wall_time for r in log.results])
     report = {
         "scenario": dict(echo),
-        "metrics": metrics.as_dict(),
+        "metrics": metrics,
         "controls": traj.controls.astype(int).tolist(),
-        "objectives": log.objectives.tolist(),
-        "evaluations": log.evaluations.tolist(),
+        "objectives": [r.objective for r in log.results],
+        "evaluations": [r.evaluations for r in log.results],
         "trajectory": {
             "infected": traj.infected.tolist(),
             "removed": None if traj.removed is None else traj.removed.tolist(),

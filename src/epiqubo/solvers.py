@@ -77,8 +77,10 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.sa_initial_temperature is not None and self.sa_initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
+        if self.sa_initial_temperature is not None and not (
+            0.0 < self.sa_initial_temperature < math.inf
+        ):
+            raise ValueError("initial temperature must be finite and positive")
         if not (0.0 < self.sa_final_temperature_ratio < 1.0):
             raise ValueError("final temperature ratio must lie in (0, 1)")
         if not (0.0 < self.sa_cooling_ratio < 1.0):

@@ -135,7 +135,7 @@ def test_criterion_4_trivial_state_optimality():
                     gamma=0.05,
                     steps=5,
                     solver=method,
-                    seed=5,
+                    solver_config=SolverConfig(seed=5),
                 )
                 log = run_rolling_horizon(cfg, state)
                 assert not log.trajectory.controls.any(), (kind, method)
@@ -226,26 +226,27 @@ def test_criterion_7_large_scale_qualitative():
                 gamma=gamma,
                 steps=30,
                 solver=solver,
-                seed=42,
+                solver_config=SolverConfig(seed=42),
             )
             log = run_rolling_horizon(cfg, state)
             base = run_uncontrolled_baseline(cfg, state)
             report = compute_metrics(log, base)
-            assert report.peak_reduction_pct is not None and report.peak_reduction_pct > 0.0
-            assert report.avg_reduction_pct is not None and report.avg_reduction_pct > 0.0
+            peak_pct, avg_pct = report["peak_reduction_pct"], report["avg_reduction_pct"]
+            assert peak_pct is not None and peak_pct > 0.0
+            assert avg_pct is not None and avg_pct > 0.0
+            max_solve = max(r.wall_time for r in log.results)
             if m == 107:
-                assert float(log.wall_times.max()) <= 5.0, "per-step solve exceeded 5s"
+                assert max_solve <= 5.0, "per-step solve exceeded 5s"
             # isolation cost dominating: controller collapses onto the baseline
             cfg_inf = dataclasses.replace(cfg, gamma=1e12)
             log_inf = run_rolling_horizon(cfg_inf, state)
             assert np.array_equal(log_inf.trajectory.infected, base.infected)
             report_inf = compute_metrics(log_inf, base)
-            assert report_inf.peak_reduction_pct == 0.0
-            assert report_inf.avg_reduction_pct == 0.0
+            assert report_inf["peak_reduction_pct"] == 0.0
+            assert report_inf["avg_reduction_pct"] == 0.0
             print(
-                f"    M={m}: gamma={gamma:.0e} p={report.peak_reduction_pct:.2f}% "
-                f"a={report.avg_reduction_pct:.2f}% max step solve "
-                f"{float(log.wall_times.max()) * 1000:.0f} ms"
+                f"    M={m}: gamma={gamma:.0e} p={peak_pct:.2f}% "
+                f"a={avg_pct:.2f}% max step solve {max_solve * 1000:.0f} ms"
             )
 
 

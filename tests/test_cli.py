@@ -246,6 +246,37 @@ class TestGenerateExport:
         assert "m=10000000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_network_names_its_size(self, tmp_path, capsys, monkeypatch):
+        # the host refuses the M x M weight matrix; the refusal is faked, so
+        # nothing that size is allocated
+        m = 2000
+        pop = tmp_path / "population.csv"
+        pop.write_text(
+            "location,name,population\n" + "".join(f"{i},n{i},10\n" for i in range(m)),
+            encoding="utf-8",
+        )
+        edges = tmp_path / "edges.csv"
+        edges.write_text("from,to,weight\n0,1,0.5\n", encoding="utf-8")
+        zeros = np.zeros
+
+        def refusing_zeros(shape, *args, **kwargs):
+            if shape == (m, m):
+                raise MemoryError(f"Unable to allocate an array with shape ({m}, {m})")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refusing_zeros)
+        out = tmp_path / "out"
+        code = cli_dispatch(
+            ["export-network", "--network", str(edges), "--population", str(pop),
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {pop}: M={m} locations need a {m}x{m} weight matrix "
+            "that cannot be allocated\n"
+        )
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_zero_steps_outputs_only_initial_state(self, workspace, capsys):
@@ -713,6 +744,7 @@ class TestBatch:
             ("gamma", "inf", "gamma must be finite and nonnegative, got inf"),
             ("lambda", "inf", "infection rate must be finite and >= 0, got inf"),
             ("m", "10000000", "m=10000000 needs a 10000000x10000000 weight matrix"),
+            ("sa_initial_temperature", "nan", "initial temperature must be finite and positive"),
         ],
     )
     def test_bad_value_exits_one_naming_it(self, tmp_path, capsys, key, value, message):
@@ -982,22 +1014,23 @@ class TestDefaultsHaveOneOwner:
     MODEL = ["--model", "sis", "--lambda", "0.1", "--mu", "0.1"]
 
     @pytest.mark.parametrize(
-        "argv, owned",
+        "argv, owned, solver_owned",
         [
             (["control", *NETWORK, *MODEL, "--gamma", "0", "--out", "o"],
-             ("steps", "solver", "builder", "seed")),
-            (["baseline", *NETWORK, *MODEL], ("steps",)),
-            (["build-qubo", *NETWORK, *MODEL, "--gamma", "0"], ("builder",)),
-            (["solve", "q.txt"], ("solver",)),
+             ("steps", "solver", "builder"), ("seed",)),
+            (["baseline", *NETWORK, *MODEL], ("steps",), ()),
+            (["build-qubo", *NETWORK, *MODEL, "--gamma", "0"], ("builder",), ()),
+            (["solve", "q.txt"], ("solver",), ()),
         ],
         ids=["control", "baseline", "build-qubo", "solve"],
     )
-    def test_parser_defaults_are_the_scenario_defaults(self, argv, owned):
+    def test_parser_defaults_are_the_scenario_defaults(self, argv, owned, solver_owned):
         args = build_parser().parse_args(argv)
-        defaults = {f.name: f.default for f in fields(ScenarioConfig)}
-        assert {name: getattr(args, name) for name in owned} == {
-            name: defaults[name] for name in owned
-        }
+        for config, names in ((ScenarioConfig, owned), (SolverConfig, solver_owned)):
+            defaults = {f.name: f.default for f in fields(config)}
+            assert {name: getattr(args, name) for name in names} == {
+                name: defaults[name] for name in names
+            }
 
     def test_solve_defaults_are_the_solver_defaults(self):
         args = build_parser().parse_args(["solve", "q.txt"])

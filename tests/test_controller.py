@@ -42,7 +42,7 @@ def small_scenario(rng, kind=ModelKind.SIS, m=6, gamma=1e-3, **overrides):
         gamma=gamma,
         steps=8,
         solver="exhaustive",
-        seed=1,
+        solver_config=SolverConfig(seed=1),
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults), state
@@ -126,7 +126,7 @@ class TestConfigValidation:
     def test_negative_seed_refused_for_every_solver(self, rng, solver):
         # the exhaustive scan ignores the seed, but the run's seeds start there
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
-            small_scenario(rng, solver=solver, seed=-1)
+            small_scenario(rng, solver=solver, solver_config=SolverConfig(seed=-1))
 
     def test_network_warnings_logged(self, caplog):
         net = LocationNetwork([100.0, 100.0], [[0.0, 1.5], [0.2, 0.0]])
@@ -217,8 +217,23 @@ class TestRollingHorizon:
         log2 = run_rolling_horizon(cfg, state)
         assert np.array_equal(log1.trajectory.infected, log2.trajectory.infected)
         assert np.array_equal(log1.trajectory.controls, log2.trajectory.controls)
-        assert np.array_equal(log1.objectives, log2.objectives)
-        assert np.array_equal(log1.evaluations, log2.evaluations)
+        assert [r.objective for r in log1.results] == [r.objective for r in log2.results]
+        assert [r.evaluations for r in log1.results] == [r.evaluations for r in log2.results]
+
+    def test_run_seed_reaches_every_step(self, rng, monkeypatch):
+        from epiqubo import controller
+
+        seeds = []
+        fix_and_solve = controller._fix_and_solve
+
+        def recording(q, method, cfg):
+            seeds.append(cfg.seed)
+            return fix_and_solve(q, method, cfg)
+
+        monkeypatch.setattr(controller, "_fix_and_solve", recording)
+        cfg, state = small_scenario(rng, solver="sa", steps=4, solver_config=SolverConfig(seed=7))
+        run_rolling_horizon(cfg, state)
+        assert seeds == [7, 8, 9, 10]
 
     def test_numeric_builder_agrees_with_analytic_loop(self, rng):
         cfg_a, state = small_scenario(rng, kind=ModelKind.SIR, m=5, gamma=1e-3, steps=5)
@@ -230,7 +245,7 @@ class TestRollingHorizon:
             gamma=cfg_a.gamma,
             steps=cfg_a.steps,
             builder="numeric",
-            seed=cfg_a.seed,
+            solver_config=SolverConfig(seed=cfg_a.solver_config.seed),
         )
         log_a = run_rolling_horizon(cfg_a, state)
         log_n = run_rolling_horizon(cfg_n, state)
@@ -243,9 +258,9 @@ class TestRollingHorizon:
         for t in range(cfg.steps):
             q = build_qubo(cfg.network, cfg.params, log.trajectory.state_at(t), cfg.gamma)
             z = from_control(log.trajectory.controls[t])
-            assert log.objectives[t] == evaluate(q, z)
+            assert log.results[t].objective == evaluate(q, z)
             # the exhaustive scan enumerates only the bits left free
-            assert log.evaluations[t] == 2 ** int((fix_persistent(q) < 0).sum())
+            assert log.results[t].evaluations == 2 ** int((fix_persistent(q) < 0).sum())
 
     def test_no_heuristic_beats_certified_steps_at_m107(self):
         # the criterion-7 study network: calibrated SIR gravity, five seeded sites
@@ -257,7 +272,7 @@ class TestRollingHorizon:
         state = EpidemicState(x0, np.zeros(net.m))
         cfg = ScenarioConfig(
             network=net, kind=ModelKind.SIR, lam=3.0 * mu / rho, mu=mu, gamma=1e-5,
-            steps=6, solver="sa", seed=3,
+            steps=6, solver="sa", solver_config=SolverConfig(seed=3),
         )
         log = run_rolling_horizon(cfg, state)
         assert log.trajectory.controls.any() and not log.trajectory.controls.all()
@@ -265,7 +280,7 @@ class TestRollingHorizon:
             q = build_qubo(net, cfg.params, log.trajectory.state_at(t), cfg.gamma)
             for method in ("sa", "tabu"):
                 other = solve(q, method, SolverConfig(seed=100 + t))
-                assert other.objective >= log.objectives[t], f"{method} beat step {t}"
+                assert other.objective >= log.results[t].objective, f"{method} beat step {t}"
 
 
 class TestBaseline:
@@ -303,8 +318,8 @@ class TestMetrics:
         log = run_rolling_horizon(cfg, state)
         base = run_uncontrolled_baseline(cfg, state)
         report = compute_metrics(log, base)
-        assert report.peak_reduction_pct == 0.0
-        assert report.avg_reduction_pct == 0.0
+        assert report["peak_reduction_pct"] == 0.0
+        assert report["avg_reduction_pct"] == 0.0
 
     def test_percent_arithmetic(self):
         # synthetic curves: baseline peaks at 100, controlled at 87.60
@@ -313,28 +328,28 @@ class TestMetrics:
         ctrl_x = np.array([[10.0], [87.60], [40.0]])
         from epiqubo.controller import ControlLog
         from epiqubo.epinet import Trajectory
+        from epiqubo.solvers import SolveResult
 
         controls = np.zeros((2, 1), dtype=np.int8)
-        log = ControlLog(
-            Trajectory(ctrl_x, controls), np.zeros(2), np.zeros(2), np.zeros(2, dtype=np.int64)
-        )
+        results = (SolveResult(np.zeros(2, dtype=np.int8), 0.0, 0, 0.0),) * 2
+        log = ControlLog(Trajectory(ctrl_x, controls), results)
         base = Trajectory(base_x, controls)
         report = compute_metrics(log, base)
-        assert report.peak_reduction_pct == pytest.approx(12.40, abs=1e-12)
+        assert report["peak_reduction_pct"] == pytest.approx(12.40, abs=1e-12)
 
     def test_zero_baseline_marks_not_applicable(self):
         from epiqubo.controller import ControlLog
         from epiqubo.epinet import Trajectory
+        from epiqubo.solvers import SolveResult
 
         zeros = np.zeros((3, 2))
         controls = np.zeros((2, 2), dtype=np.int8)
-        log = ControlLog(
-            Trajectory(zeros, controls), np.zeros(2), np.zeros(2), np.zeros(2, dtype=np.int64)
-        )
+        results = (SolveResult(np.zeros(4, dtype=np.int8), 0.0, 0, 0.0),) * 2
+        log = ControlLog(Trajectory(zeros, controls), results)
         base = Trajectory(zeros, controls)
         report = compute_metrics(log, base)
-        assert report.peak_reduction_pct is None
-        assert report.avg_reduction_pct is None
+        assert report["peak_reduction_pct"] is None
+        assert report["avg_reduction_pct"] is None
 
     def test_length_mismatch_rejected(self, rng):
         cfg, state = small_scenario(rng, steps=4)

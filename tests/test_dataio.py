@@ -6,7 +6,6 @@ import csv
 import json
 import tempfile
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -1013,7 +1012,12 @@ class TestRunReport:
         assert report["scenario"] == self.ECHO
 
     def test_metrics_keep_field_order_and_serialize(self, run):
-        view = run[0].as_dict()
-        assert list(view) == [f.name for f in fields(run[0])]
-        assert json.loads(json.dumps(view)) == view
-        assert view["per_location_peak_controlled"] == run[0].per_location_peak_controlled.tolist()
+        metrics, log, _ = run
+        assert list(metrics) == [
+            "peak_uncontrolled", "peak_controlled", "avg_uncontrolled", "avg_controlled",
+            "peak_reduction_pct", "avg_reduction_pct",
+            "per_location_peak_uncontrolled", "per_location_peak_controlled",
+        ]
+        assert json.loads(json.dumps(metrics)) == metrics
+        peaks = log.trajectory.infected.max(axis=0).tolist()
+        assert metrics["per_location_peak_controlled"] == peaks

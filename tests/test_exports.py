@@ -1,10 +1,12 @@
 """Every exported name resolves, so a moved or removed one cannot linger;
-every function the benchmark times exists under the name it times; and
-every exported function has a caller in the package or the benchmark."""
+every function the benchmark times exists under the name it times; every
+exported function has a caller in the package or the benchmark; and no
+config value has two homes."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import epiqubo
+from epiqubo import ScenarioConfig, SolverConfig
+from epiqubo.dataio import SCENARIO_KEYS
 
 MODULES = ["epiqubo", *(f"epiqubo.{info.name}" for info in pkgutil.iter_modules(epiqubo.__path__))]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -80,3 +84,13 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
             if inspect.isfunction(getattr(module, name)) and name not in used:
                 unused.append(f"{module_name}.{name}")
     assert unused == []
+
+
+def test_no_config_value_has_two_homes():
+    # a scenario key sets one field of one config, so a value cannot be set
+    # in one place and silently read from another
+    scenario = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    solver = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert scenario.isdisjoint(solver)
+    assert [name for name in solver if name not in SCENARIO_KEYS] == []
+    assert len(set(SCENARIO_KEYS)) == len(SCENARIO_KEYS)

@@ -174,8 +174,9 @@ class TestSimulatedAnnealing:
             SolverConfig(sa_cooling_ratio=1.5)
         with pytest.raises(ValueError):
             SolverConfig(budget=0)
-        with pytest.raises(ValueError):
-            SolverConfig(sa_initial_temperature=-1.0)
+        for temperature in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(sa_initial_temperature=temperature)
 
 
 class TestTabu:
