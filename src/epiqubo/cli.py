@@ -28,6 +28,7 @@ from .controller import (
     run_uncontrolled_baseline,
 )
 from .epinet import (
+    EpidemicParams,
     EpidemicState,
     ModelKind,
     infection_rate_from_r0,
@@ -230,13 +231,11 @@ def _resolve_scenario(
         raise ValueError(f"scenario key 'force': expected true or false, got {force!r}")
     cfg = ScenarioConfig(
         network=net,
-        kind=kind,
-        lam=lam,
-        mu=mu,
         gamma=_number(values, "gamma", float),
         steps=_number(values, "steps", int, str(ScenarioConfig.steps)),
         **{key: values[key] for key in ("solver", "builder") if key in values},
         solver_config=SolverConfig(**solver_kwargs),
+        params=EpidemicParams(kind, lam, mu),
         force=force.lower() == "true",
     )
     echo = {}

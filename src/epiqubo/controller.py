@@ -47,20 +47,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one controlled run.
+    """Everything needed to reproduce one controlled run, except the start
+    state, which the run functions take as an argument.
 
     A network that ``validate_network`` reports violations for is refused,
     and so is a gamma whose isolation cost ``gamma * sum(n)`` overflows; the
-    network's warnings are logged.  A run with ``lam`` above the network's
-    invariance bound is refused outright unless ``force`` is set, in which
-    case this is logged once here, states are clamped into [0, n_i] and
-    every clamp is logged.
+    network's warnings are logged.  A run with ``params.lam`` above the
+    network's invariance bound is refused outright unless ``force`` is set,
+    in which case this is logged once here, states are clamped into [0, n_i]
+    and every clamp is logged.
     """
 
     network: LocationNetwork
-    kind: ModelKind
-    lam: float
-    mu: float
+    params: EpidemicParams
     gamma: float
     steps: int = 30
     solver: str = "exhaustive"
@@ -69,7 +68,6 @@ class ScenarioConfig:
     force: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ModelKind(self.kind))
         report = validate_network(self.network)
         for warning in report.warnings:
             logger.warning("network: %s", warning)
@@ -89,18 +87,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
         if self.builder not in BUILDER_NAMES:
             raise ValueError(f"unknown builder {self.builder!r}; expected one of {BUILDER_NAMES}")
-        self.params  # EpidemicParams refuses a rate that is not finite before any bound check
         bound = invariance_bound(self.network)
-        if self.force and self.lam > bound:
+        if self.force and self.params.lam > bound:
             logger.warning(
                 "infection rate %s exceeds the invariance bound %s; states will be clamped",
-                self.lam,
+                self.params.lam,
                 bound,
             )
-
-    @property
-    def params(self) -> EpidemicParams:
-        return EpidemicParams(self.kind, self.lam, self.mu)
 
 
 @dataclass(frozen=True)
@@ -115,48 +108,36 @@ class ControlLog:
             raise ValueError("results must have one entry per step")
 
 
-def _advance(
-    state: EpidemicState,
-    u: np.ndarray,
-    net: LocationNetwork,
-    params: EpidemicParams,
-    clamp: bool,
-    step_index: int,
-) -> EpidemicState:
-    step = step_sis if params.kind is ModelKind.SIS else step_sir
-    nxt = step(state, net, params, u)
-    if not clamp:
-        return nxt
-    x = np.clip(nxt.infected, 0.0, net.populations)
-    clamped = int(np.count_nonzero(x != nxt.infected))
-    y = nxt.removed
-    if y is not None:
-        # n - x can round up so that x + (n - x) > n; one step down is then
-        # enough for x + y <= n, the bound every builder's state check applies
-        room = net.populations - x
-        room = np.where(x + room > net.populations, np.nextafter(room, 0.0), room)
-        y = np.clip(y, 0.0, room)
-        clamped += int(np.count_nonzero(y != nxt.removed))
-    if clamped:
-        logger.warning("step %d: clamped %d state entries into [0, n_i]", step_index, clamped)
-    return EpidemicState(x, y)
-
-
 def _run_loop(cfg: ScenarioConfig, state0: EpidemicState, plan) -> Trajectory:
     """Apply ``plan(t, state)`` and advance, ``cfg.steps`` times, recording states."""
-    net = cfg.network
+    net, params = cfg.network, cfg.params
     bound = invariance_bound(net)
-    if cfg.lam > bound and not cfg.force:
+    if params.lam > bound and not cfg.force:
         raise ValueError(
-            f"infection rate {cfg.lam} exceeds the invariance bound {bound}; "
+            f"infection rate {params.lam} exceeds the invariance bound {bound}; "
             "states could leave [0, n_i] (pass force=True to clamp instead)"
         )
-    check_state(state0, net, cfg.kind)
-    params = cfg.params
+    check_state(state0, net, params.kind)
+    step = step_sis if params.kind is ModelKind.SIS else step_sir
 
     def advance(t: int, state: EpidemicState):
         u = plan(t, state)
-        return u, _advance(state, u, net, params, cfg.force, t)
+        nxt = step(state, net, params, u)
+        if not cfg.force:
+            return u, nxt
+        x = np.clip(nxt.infected, 0.0, net.populations)
+        clamped = int(np.count_nonzero(x != nxt.infected))
+        y = nxt.removed
+        if y is not None:
+            # n - x can round up so that x + (n - x) > n; one step down is then
+            # enough for x + y <= n, the bound every builder's state check applies
+            room = net.populations - x
+            room = np.where(x + room > net.populations, np.nextafter(room, 0.0), room)
+            y = np.clip(y, 0.0, room)
+            clamped += int(np.count_nonzero(y != nxt.removed))
+        if clamped:
+            logger.warning("step %d: clamped %d state entries into [0, n_i]", t, clamped)
+        return u, EpidemicState(x, y)
 
     return _record(state0, cfg.steps, advance)
 

@@ -129,9 +129,7 @@ def test_criterion_4_trivial_state_optimality():
             for method in ("exhaustive", "sa", "tabu", "ga"):
                 cfg = ScenarioConfig(
                     network=net,
-                    kind=kind,
-                    lam=params.lam,
-                    mu=params.mu,
+                    params=params,
                     gamma=0.05,
                     steps=5,
                     solver=method,
@@ -220,9 +218,7 @@ def test_criterion_7_large_scale_qualitative():
             gamma = _gamma_with_partial_isolation(net, lam, mu, state, solver)
             cfg = ScenarioConfig(
                 network=net,
-                kind=ModelKind.SIR,
-                lam=lam,
-                mu=mu,
+                params=EpidemicParams(ModelKind.SIR, lam, mu),
                 gamma=gamma,
                 steps=30,
                 solver=solver,

@@ -28,17 +28,18 @@ from epiqubo import (
     simulate,
     solve,
 )
+from epiqubo.controller import compare_totals
 from epiqubo.dataio import generate_synthetic
 from conftest import random_instance, solve_bruteforce_problem1
+
+SIS = EpidemicParams("sis", 0.01, 0.1)
 
 
 def small_scenario(rng, kind=ModelKind.SIS, m=6, gamma=1e-3, **overrides):
     net, params, state, _ = random_instance(rng, kind, m)
     defaults = dict(
         network=net,
-        kind=kind,
-        lam=params.lam,
-        mu=params.mu,
+        params=params,
         gamma=gamma,
         steps=8,
         solver="exhaustive",
@@ -53,9 +54,9 @@ class TestConfigValidation:
         cfg, state = small_scenario(rng)
         hot = ScenarioConfig(
             network=cfg.network,
-            kind=cfg.kind,
-            lam=2.0 * invariance_bound(cfg.network),
-            mu=cfg.mu,
+            params=EpidemicParams(
+                cfg.params.kind, 2.0 * invariance_bound(cfg.network), cfg.params.mu
+            ),
             gamma=cfg.gamma,
             steps=3,
         )
@@ -68,7 +69,8 @@ class TestConfigValidation:
         net = LocationNetwork([100.0, 100.0], [[0.0, 0.9], [0.9, 0.0]])
         state = EpidemicState([90.0, 90.0])
         hot = ScenarioConfig(
-            network=net, kind=ModelKind.SIS, lam=0.9, mu=0.0, gamma=1e9, steps=5, force=True
+            network=net, params=EpidemicParams(ModelKind.SIS, 0.9, 0.0), gamma=1e9, steps=5,
+            force=True,
         )
         with caplog.at_level(logging.WARNING):
             traj = run_uncontrolled_baseline(hot, state)
@@ -86,7 +88,8 @@ class TestConfigValidation:
         removed = np.zeros(net.m)
         removed[5:8] = 1e-4 * net.populations[5:8]
         hot = ScenarioConfig(
-            network=net, kind=ModelKind.SIR, lam=infection_rate_from_r0(30.0, mu, net), mu=mu,
+            network=net,
+            params=EpidemicParams(ModelKind.SIR, infection_rate_from_r0(30.0, mu, net), mu),
             gamma=1e-5, steps=30, builder=builder, force=True,
         )
         traj = run_rolling_horizon(hot, EpidemicState(infected, removed)).trajectory
@@ -95,19 +98,22 @@ class TestConfigValidation:
     def test_bad_knobs(self, rng):
         cfg, _ = small_scenario(rng)
         with pytest.raises(ValueError):
-            ScenarioConfig(network=cfg.network, kind="sis", lam=0.01, mu=0.1, gamma=-1.0)
+            ScenarioConfig(network=cfg.network, params=SIS, gamma=-1.0)
         with pytest.raises(ValueError):
-            ScenarioConfig(network=cfg.network, kind="sis", lam=0.01, mu=0.1, gamma=0.0, steps=0)
+            ScenarioConfig(network=cfg.network, params=SIS, gamma=0.0, steps=0)
         with pytest.raises(ValueError):
-            ScenarioConfig(
-                network=cfg.network, kind="sis", lam=0.01, mu=0.1, gamma=0.0, solver="descent"
-            )
+            ScenarioConfig(network=cfg.network, params=SIS, gamma=0.0, solver="descent")
 
+
+    def test_unknown_builder_refused(self, rng):
+        cfg, _ = small_scenario(rng)
+        with pytest.raises(ValueError, match="unknown builder 'exact'; expected one of"):
+            ScenarioConfig(network=cfg.network, params=SIS, gamma=0.0, builder="exact")
 
     def test_rejects_zero_population(self):
         net = LocationNetwork([100.0, 0.0], [[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ValueError, match="nonpositive population at 1"):
-            ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
+            ScenarioConfig(network=net, params=SIS, gamma=0.0)
 
 
     def test_exhaustive_step_beyond_enumeration_limit_fails(self, rng):
@@ -131,7 +137,7 @@ class TestConfigValidation:
     def test_network_warnings_logged(self, caplog):
         net = LocationNetwork([100.0, 100.0], [[0.0, 1.5], [0.2, 0.0]])
         with caplog.at_level(logging.WARNING):
-            ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=0.0)
+            ScenarioConfig(network=net, params=SIS, gamma=0.0)
         assert caplog.messages == ["network: weight > 1 at (0, 1)"]
 
     def test_forced_rate_logged_once_per_scenario(self, caplog):
@@ -139,7 +145,8 @@ class TestConfigValidation:
         state = EpidemicState([90.0, 90.0])
         with caplog.at_level(logging.WARNING):
             hot = ScenarioConfig(
-                network=net, kind=ModelKind.SIS, lam=0.9, mu=0.0, gamma=1e9, steps=2, force=True
+                network=net, params=EpidemicParams(ModelKind.SIS, 0.9, 0.0), gamma=1e9, steps=2,
+                force=True,
             )
             run_rolling_horizon(hot, state)
             run_uncontrolled_baseline(hot, state)
@@ -156,14 +163,14 @@ class TestConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=gamma)
+                ScenarioConfig(network=net, params=SIS, gamma=gamma)
         assert str(info.value) == (
             f"isolation cost gamma * sum(n) overflows: gamma {gamma}, sum(n) {total}"
         )
 
     def test_finite_isolation_cost_near_the_largest_float_is_accepted(self):
         net = LocationNetwork([1e4, 2e4], [[0.0, 0.1], [0.1, 0.0]])
-        ScenarioConfig(network=net, kind="sis", lam=0.01, mu=0.1, gamma=1.7e308 / 3e4)
+        ScenarioConfig(network=net, params=SIS, gamma=1.7e308 / 3e4)
 
 
 class TestRollingHorizon:
@@ -239,9 +246,7 @@ class TestRollingHorizon:
         cfg_a, state = small_scenario(rng, kind=ModelKind.SIR, m=5, gamma=1e-3, steps=5)
         cfg_n = ScenarioConfig(
             network=cfg_a.network,
-            kind=cfg_a.kind,
-            lam=cfg_a.lam,
-            mu=cfg_a.mu,
+            params=cfg_a.params,
             gamma=cfg_a.gamma,
             steps=cfg_a.steps,
             builder="numeric",
@@ -271,7 +276,7 @@ class TestRollingHorizon:
         x0[:5] = 1e-3 * net.populations[:5]
         state = EpidemicState(x0, np.zeros(net.m))
         cfg = ScenarioConfig(
-            network=net, kind=ModelKind.SIR, lam=3.0 * mu / rho, mu=mu, gamma=1e-5,
+            network=net, params=EpidemicParams(ModelKind.SIR, 3.0 * mu / rho, mu), gamma=1e-5,
             steps=6, solver="sa", solver_config=SolverConfig(seed=3),
         )
         log = run_rolling_horizon(cfg, state)
@@ -294,7 +299,7 @@ class TestBaseline:
         net = LocationNetwork([1000.0, 1000.0], [[0.0, 0.5], [0.5, 0.0]])
         lam = 0.99 * invariance_bound(net)
         cfg = ScenarioConfig(
-            network=net, kind=ModelKind.SIR, lam=lam, mu=0.3, gamma=0.0, steps=200
+            network=net, params=EpidemicParams(ModelKind.SIR, lam, 0.3), gamma=0.0, steps=200
         )
         state = EpidemicState([50.0, 0.0], [0.0, 0.0])
         traj = run_uncontrolled_baseline(cfg, state)
@@ -306,7 +311,8 @@ class TestBaseline:
     def test_start_outside_populations_refused(self, force):
         net = LocationNetwork([100.0, 100.0], [[0.0, 0.5], [0.5, 0.0]])
         cfg = ScenarioConfig(
-            network=net, kind=ModelKind.SIS, lam=0.1, mu=0.1, gamma=0.0, steps=3, force=force
+            network=net, params=EpidemicParams(ModelKind.SIS, 0.1, 0.1), gamma=0.0, steps=3,
+            force=force,
         )
         with pytest.raises(ValueError, match="exceed"):
             run_uncontrolled_baseline(cfg, EpidemicState([150.0, 0.0]))
@@ -355,8 +361,22 @@ class TestMetrics:
         cfg, state = small_scenario(rng, steps=4)
         log = run_rolling_horizon(cfg, state)
         short = ScenarioConfig(
-            network=cfg.network, kind=cfg.kind, lam=cfg.lam, mu=cfg.mu, gamma=cfg.gamma, steps=3
+            network=cfg.network, params=cfg.params, gamma=cfg.gamma, steps=3
         )
         base = run_uncontrolled_baseline(short, state)
         with pytest.raises(ValueError):
             compute_metrics(log, base)
+
+    def test_totals_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="must cover the same window"):
+            compare_totals(np.zeros(3), np.zeros(4))
+
+    def test_log_needs_one_result_per_step(self):
+        from epiqubo.controller import ControlLog
+        from epiqubo.epinet import Trajectory
+        from epiqubo.solvers import SolveResult
+
+        traj = Trajectory(np.zeros((3, 1)), np.zeros((2, 1), dtype=np.int8))
+        results = (SolveResult(np.zeros(2, dtype=np.int8), 0.0, 0, 0.0),)
+        with pytest.raises(ValueError, match="results must have one entry per step"):
+            ControlLog(traj, results)

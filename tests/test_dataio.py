@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiqubo import (
+    EpidemicParams,
     EpidemicState,
     LocationNetwork,
     ModelKind,
@@ -992,7 +993,9 @@ class TestRunReport:
     @pytest.fixture
     def run(self):
         net = generate_synthetic(4, "gravity", 0)
-        cfg = ScenarioConfig(network=net, kind="sir", lam=0.02, mu=0.05, gamma=1e-7, steps=3)
+        cfg = ScenarioConfig(
+            network=net, params=EpidemicParams("sir", 0.02, 0.05), gamma=1e-7, steps=3
+        )
         state0 = EpidemicState(0.01 * net.populations, np.zeros(net.m))
         log = run_rolling_horizon(cfg, state0)
         baseline = run_uncontrolled_baseline(cfg, state0)

@@ -63,6 +63,44 @@ class TestValidation:
         with pytest.raises(ValueError):
             LocationNetwork([10.0, 10.0], [[0.0]])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LocationNetwork([[10.0]], [[0.0]]), "populations must be a 1-D vector"),
+            (lambda: LocationNetwork([np.nan], [[0.0]]), "populations and weights must be"),
+            (lambda: LocationNetwork([10.0], [[np.inf]]), "populations and weights must be"),
+            (lambda: EpidemicState([[1.0]]), "infected must be a 1-D vector"),
+            (lambda: EpidemicState([-1.0]), "infected counts must be finite and nonnegative"),
+            (lambda: EpidemicState([np.nan]), "infected counts must be finite and nonnegative"),
+            (lambda: EpidemicState([1.0], [0.0, 0.0]), "removed must match infected in length"),
+            (lambda: EpidemicState([1.0], [np.inf]), "removed counts must be finite"),
+            (lambda: epinet.Trajectory([1.0], [[0]]), "trajectory arrays must be 2-D"),
+            (lambda: epinet.Trajectory([[1.0]], [[0]]), "need T\\+1 states for T controls"),
+            (
+                lambda: epinet.Trajectory([[1.0], [1.0]], [[0]], [[0.0]]),
+                "removed must match infected in shape",
+            ),
+            (
+                lambda: simulate(
+                    LocationNetwork([10.0], [[0.0]]),
+                    EpidemicParams(ModelKind.SIS, 0.1, 0.1),
+                    EpidemicState([1.0]),
+                    None,
+                    -1,
+                ),
+                "steps must be nonnegative",
+            ),
+        ],
+        ids=[
+            "2-D-populations", "nan-population", "inf-weight", "2-D-infected", "negative-infected",
+            "nan-infected", "removed-length", "inf-removed", "1-D-trajectory", "states-not-T+1",
+            "removed-shape", "negative-steps",
+        ],
+    )
+    def test_bad_values_raise(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_bad_params_raise(self):
         with pytest.raises(ValueError):
             EpidemicParams(ModelKind.SIS, -0.1, 0.5)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import epiqubo
-from epiqubo import ScenarioConfig, SolverConfig
+from epiqubo import EpidemicParams, ScenarioConfig, SolverConfig
 from epiqubo.dataio import SCENARIO_KEYS
 
 MODULES = ["epiqubo", *(f"epiqubo.{info.name}" for info in pkgutil.iter_modules(epiqubo.__path__))]
@@ -92,5 +92,6 @@ def test_no_config_value_has_two_homes():
     scenario = {f.name for f in dataclasses.fields(ScenarioConfig)}
     solver = [f.name for f in dataclasses.fields(SolverConfig)]
     assert scenario.isdisjoint(solver)
+    assert scenario.isdisjoint(f.name for f in dataclasses.fields(EpidemicParams))
     assert [name for name in solver if name not in SCENARIO_KEYS] == []
     assert len(set(SCENARIO_KEYS)) == len(SCENARIO_KEYS)

@@ -870,6 +870,10 @@ class TestCouplingStorage:
         with pytest.raises(ValueError):
             QuboProblem([0.0, 0.0], np.array(coupling))
 
+    def test_linear_of_another_rank_rejected(self):
+        with pytest.raises(ValueError, match="linear coefficients must be a 1-D vector"):
+            QuboProblem([[1.0]])
+
     def test_quadratic_is_the_nonzero_upper_triangle_in_export_order(self, rng):
         q = random_qubo(rng, 9, density=0.4)
         exported = [
@@ -978,3 +982,9 @@ class TestBuilderNames:
         message = str(info.value)
         assert message.startswith("unknown builder 'symbolic'")
         assert all(repr(name) in message for name in ("analytic", "numeric"))
+
+    @pytest.mark.parametrize("name", qubo_module.BUILDER_NAMES)
+    def test_negative_gamma_is_refused(self, two_node_instance, name):
+        net, params, state = two_node_instance[:3]
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            build_qubo(net, params, state, -1.0, name)

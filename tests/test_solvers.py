@@ -169,14 +169,32 @@ class TestSimulatedAnnealing:
         res = solve_simulated_annealing(q, cfg)
         assert res.objective == evaluate(q, res.z_best)
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(sa_cooling_ratio=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(budget=0)
-        for temperature in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                SolverConfig(sa_initial_temperature=temperature)
+    BAD_KNOBS = [
+        ("seed", -1, "seed must be nonnegative"),
+        ("budget", 0, "budget must be positive"),
+        ("sa_initial_temperature", -1.0, "initial temperature must be finite and positive"),
+        ("sa_initial_temperature", np.nan, "initial temperature must be finite and positive"),
+        ("sa_initial_temperature", np.inf, "initial temperature must be finite and positive"),
+        ("sa_final_temperature_ratio", 1.0, r"final temperature ratio must lie in \(0, 1\)"),
+        ("sa_cooling_ratio", 1.5, r"cooling ratio must lie in \(0, 1\)"),
+        ("sa_sweeps_per_temperature", 0, "sweeps per temperature must be positive"),
+        ("ts_tenure", 0, "tabu tenure must be positive"),
+        ("ts_stagnation_limit", 0, "stagnation limit must be positive"),
+        ("ts_restarts", 0, "restart count must be positive"),
+        ("ga_population", 0, "population size must be positive"),
+        ("ga_crossover_rate", 1.5, r"crossover rate must lie in \[0, 1\]"),
+        ("ga_mutation_rate", -0.1, r"mutation rate must lie in \[0, 1\]"),
+        ("ga_generations", 0, "generation count must be positive"),
+        ("ga_tournament_size", 0, "tournament size must be positive"),
+        ("ga_elitism", -1, "elitism must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize(
+        "knob, value, message", BAD_KNOBS, ids=[f"{k}={v}" for k, v, _ in BAD_KNOBS]
+    )
+    def test_bad_config_rejected(self, knob, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{knob: value})
 
 
 class TestTabu:
