@@ -14,10 +14,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
-
-import numpy as np
 
 from . import dataio
 from .controller import (
@@ -27,13 +24,7 @@ from .controller import (
     run_rolling_horizon,
     run_uncontrolled_baseline,
 )
-from .epinet import (
-    EpidemicParams,
-    EpidemicState,
-    ModelKind,
-    infection_rate_from_r0,
-    simulate,
-)
+from .epinet import simulate
 from .qubo import BUILDER_NAMES, build_qubo, export_qubo, import_qubo, to_control
 from .solvers import SOLVER_NAMES, SolverConfig, _fix_and_solve
 
@@ -43,7 +34,9 @@ logger = logging.getLogger(__name__)
 
 
 def _add_network_args(parser: argparse.ArgumentParser, cases: bool = True) -> None:
-    parser.add_argument("--network", required=True, help="edges CSV path")
+    parser.add_argument(
+        "--network", dest="edges", metavar="NETWORK", required=True, help="edges CSV path"
+    )
     parser.add_argument("--population", required=True, help="population CSV path")
     if cases:
         parser.add_argument("--cases", default=None, help="initial cases CSV path")
@@ -52,7 +45,7 @@ def _add_network_args(parser: argparse.ArgumentParser, cases: bool = True) -> No
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, choices=["sis", "sir"])
     rate = parser.add_mutually_exclusive_group(required=True)
-    rate.add_argument("--lambda", dest="lam", type=float, help="infection rate per step")
+    rate.add_argument("--lambda", metavar="LAM", type=float, help="infection rate per step")
     rate.add_argument("--r0", type=float, help="reproduction number (calibrates the rate)")
     parser.add_argument("--mu", type=float, required=True, help="recovery rate per step")
 
@@ -139,15 +132,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-# each flag stores its value under its scenario key's name, except these two
-_FLAG_DEST = {"lambda": "lam", "edges": "network"}
-
-
 def _flag_values(args) -> dict[str, str]:
-    """The command's flags as the ``key = value`` mapping of a scenario document."""
+    """The command's flags as the ``key = value`` mapping of a scenario
+    document, which ``dataio.resolve_scenario`` turns into the run."""
     values = {}
     for key in dataio.SCENARIO_KEYS:
-        value = getattr(args, _FLAG_DEST.get(key, key), None)
+        value = getattr(args, key, None)
         if isinstance(value, bool):
             values[key] = "true" if value else "false"
         elif isinstance(value, float):
@@ -155,96 +145,6 @@ def _flag_values(args) -> dict[str, str]:
         elif value is not None:
             values[key] = str(value)
     return values
-
-
-def _number(values: dict[str, str], key: str, kind: type, default: str | None = None):
-    """``values[key]``, or ``default``, as ``kind``; an error names the key."""
-    raw = values.get(key, default)
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ValueError(f"scenario key {key!r}: expected {expected}, got {raw!r}") from None
-
-
-def _resolve_scenario(
-    values: dict[str, str], base: Path
-) -> tuple[ScenarioConfig, EpidemicState, dict]:
-    """Turn a scenario mapping into its config, start state and echo.
-
-    Paths are read as ``(base / path).resolve()``.  The echo keeps the
-    mapping's order and strings, except that the rate is always given as
-    ``lambda`` (in the place of ``r0`` when it was calibrated) and each path
-    is the resolved one that was read, so the echo re-runs to the same
-    result from any directory.  Under SIS a cases file may carry a removed
-    column only of zeros, since the model has no compartment to hold them.
-    """
-    paths = {
-        key: (base / values[key]).resolve()
-        for key in ("edges", "population", "cases")
-        if key in values
-    }
-    if "profile" in values:
-        network_seed = _number(values, "network_seed", int, "0")
-        if network_seed < 0:
-            raise ValueError(
-                "scenario key 'network_seed': expected a nonnegative integer, "
-                f"got {values['network_seed']!r}"
-            )
-        net = dataio.generate_synthetic(_number(values, "m", int), values["profile"], network_seed)
-        infected = np.zeros(net.m)
-        removed = None
-        if "cases" in paths:
-            # cases in synthetic scenarios reference integer indices directly
-            resolver = {str(i): i for i in range(net.m)}
-            infected, removed = dataio.load_cases(paths["cases"], resolver, net.populations)
-    else:
-        files = dataio.NetworkFiles(paths["edges"], paths["population"], paths.get("cases"))
-        net, _, infected, removed = dataio.load_network(files)
-
-    try:
-        kind = ModelKind(values["model"])
-    except ValueError:
-        raise ValueError(
-            f"scenario key 'model': expected sis or sir, got {values['model']!r}"
-        ) from None
-    if kind is ModelKind.SIS and removed is not None and removed.any():
-        k = int(np.flatnonzero(removed)[0])
-        raise ValueError(
-            f"{paths['cases']}: model sis has no removed compartment, "
-            f"but location {k} has removed count {float(removed[k])!r}"
-        )
-    mu = _number(values, "mu", float)
-    if "lambda" in values:
-        lam = _number(values, "lambda", float)
-    else:
-        lam = infection_rate_from_r0(_number(values, "r0", float), mu, net)
-    state0 = dataio.initial_state(kind, net.m, infected, removed)
-
-    solver_kwargs = {}
-    for field in dataclass_fields(SolverConfig):
-        if field.name in values:
-            number = int if field.type in ("int", "int | None") else float
-            solver_kwargs[field.name] = _number(values, field.name, number)
-    force = values.get("force", "false")
-    if force.lower() not in ("true", "false"):
-        raise ValueError(f"scenario key 'force': expected true or false, got {force!r}")
-    cfg = ScenarioConfig(
-        network=net,
-        gamma=_number(values, "gamma", float),
-        steps=_number(values, "steps", int, str(ScenarioConfig.steps)),
-        **{key: values[key] for key in ("solver", "builder") if key in values},
-        solver_config=SolverConfig(**solver_kwargs),
-        params=EpidemicParams(kind, lam, mu),
-        force=force.lower() == "true",
-    )
-    echo = {}
-    for key, value in values.items():
-        if key in ("lambda", "r0"):
-            echo["lambda"] = repr(lam)
-        else:
-            echo[key] = str(paths[key]) if key in paths else value
-    return cfg, state0, echo
 
 
 def _cmd_generate(args) -> int:
@@ -255,7 +155,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_export_network(args) -> int:
-    files = dataio.NetworkFiles(args.network, args.population)
+    files = dataio.NetworkFiles(args.edges, args.population)
     net, names, _, _ = dataio.load_network(files)
     edges, pops = dataio.write_network_csvs(net, args.out, names)
     print(f"wrote {edges} and {pops}", file=sys.stderr)
@@ -270,7 +170,7 @@ def _cmd_simulate(args) -> int:
     values = {**_flag_values(args), "gamma": "0.0", "steps": str(max(args.steps, 1))}
     if args.steps == 0:
         values["force"] = "false"
-    cfg, state0, _ = _resolve_scenario(values, Path())
+    cfg, state0, _ = dataio.resolve_scenario(values, Path())
     if args.steps == 0:
         traj = simulate(cfg.network, cfg.params, state0, None, 0)
     else:
@@ -280,7 +180,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_build_qubo(args) -> int:
-    cfg, state0, _ = _resolve_scenario(_flag_values(args), Path())
+    cfg, state0, _ = dataio.resolve_scenario(_flag_values(args), Path())
     q = build_qubo(cfg.network, cfg.params, state0, cfg.gamma, cfg.builder)
     _emit(export_qubo(q), args.out)
     return 0
@@ -311,7 +211,7 @@ def _run_control(cfg: ScenarioConfig, state0, echo: dict, out_dir: str) -> dict:
 
 
 def _cmd_control(args) -> int:
-    cfg, state0, echo = _resolve_scenario(_flag_values(args), Path())
+    cfg, state0, echo = dataio.resolve_scenario(_flag_values(args), Path())
     report = _run_control(cfg, state0, echo, args.out)
     m = report["metrics"]
     peak, avg = (
@@ -357,7 +257,7 @@ def _cmd_batch(args) -> int:
         path = Path(name)
         try:
             values = dataio.parse_scenario_text(path.read_text(encoding="utf-8"))
-            cfg, state0, echo = _resolve_scenario(values, path.parent)
+            cfg, state0, echo = dataio.resolve_scenario(values, path.parent)
             _run_control(cfg, state0, echo, str(out_root / path.stem))
         except Exception as exc:
             worst = max(worst, _report_failure(exc, f" in {name}"))

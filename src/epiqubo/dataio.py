@@ -28,6 +28,8 @@ trajectory lines with LF.
 
 A scenario document is a flat ``key = value`` text file; unknown keys are
 rejected so typos fail loudly instead of silently running defaults.
+``resolve_scenario`` gives each key its type, meaning and default, and turns
+a scenario mapping, from a document or from command-line flags, into a run.
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import ControlLog
-from .epinet import EpidemicState, LocationNetwork, ModelKind, Trajectory
+from .controller import ControlLog, ScenarioConfig
+from .epinet import (
+    EpidemicParams, EpidemicState, LocationNetwork, ModelKind, Trajectory, infection_rate_from_r0
+)
 from .qubo import _parsed, _refuse, _repeats
 from .solvers import SolverConfig
 
@@ -58,6 +62,7 @@ __all__ = [
     "write_cases_csv",
     "parse_scenario_text",
     "scenario_to_text",
+    "resolve_scenario",
     "write_run_report",
     "trajectory_csv_text",
     "read_trajectory_totals",
@@ -438,6 +443,96 @@ def scenario_to_text(echo: dict) -> str:
     """Render an echo mapping back into the flat scenario document."""
     lines = [f"{key} = {value}" for key, value in echo.items() if value is not None]
     return "\n".join(lines) + "\n"
+
+
+def _number(values: dict[str, str], key: str, kind: type, default: str | None = None):
+    """``values[key]``, or ``default``, as ``kind``; an error names the key."""
+    raw = values.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"scenario key {key!r}: expected {expected}, got {raw!r}") from None
+
+
+def resolve_scenario(
+    values: dict[str, str], base: Path
+) -> tuple[ScenarioConfig, EpidemicState, dict]:
+    """Turn a scenario mapping into its config, start state and echo.
+
+    Paths are read as ``(base / path).resolve()``.  The echo keeps the
+    mapping's order and strings, except that the rate is always given as
+    ``lambda`` (in the place of ``r0`` when it was calibrated) and each path
+    is the resolved one that was read, so the echo re-runs to the same
+    result from any directory.  Under SIS a cases file may carry a removed
+    column only of zeros, since the model has no compartment to hold them.
+    """
+    paths = {
+        key: (base / values[key]).resolve()
+        for key in ("edges", "population", "cases")
+        if key in values
+    }
+    if "profile" in values:
+        network_seed = _number(values, "network_seed", int, "0")
+        if network_seed < 0:
+            raise ValueError(
+                "scenario key 'network_seed': expected a nonnegative integer, "
+                f"got {values['network_seed']!r}"
+            )
+        net = generate_synthetic(_number(values, "m", int), values["profile"], network_seed)
+        infected = np.zeros(net.m)
+        removed = None
+        if "cases" in paths:
+            # cases in synthetic scenarios reference integer indices directly
+            resolver = {str(i): i for i in range(net.m)}
+            infected, removed = load_cases(paths["cases"], resolver, net.populations)
+    else:
+        files = NetworkFiles(paths["edges"], paths["population"], paths.get("cases"))
+        net, _, infected, removed = load_network(files)
+
+    try:
+        kind = ModelKind(values["model"])
+    except ValueError:
+        raise ValueError(
+            f"scenario key 'model': expected sis or sir, got {values['model']!r}"
+        ) from None
+    if kind is ModelKind.SIS and removed is not None and removed.any():
+        k = int(np.flatnonzero(removed)[0])
+        raise ValueError(
+            f"{paths['cases']}: model sis has no removed compartment, "
+            f"but location {k} has removed count {float(removed[k])!r}"
+        )
+    mu = _number(values, "mu", float)
+    if "lambda" in values:
+        lam = _number(values, "lambda", float)
+    else:
+        lam = infection_rate_from_r0(_number(values, "r0", float), mu, net)
+    state0 = initial_state(kind, net.m, infected, removed)
+
+    solver_kwargs = {}
+    for field in dataclass_fields(SolverConfig):
+        if field.name in values:
+            number = int if field.type in ("int", "int | None") else float
+            solver_kwargs[field.name] = _number(values, field.name, number)
+    force = values.get("force", "false")
+    if force.lower() not in ("true", "false"):
+        raise ValueError(f"scenario key 'force': expected true or false, got {force!r}")
+    cfg = ScenarioConfig(
+        network=net,
+        gamma=_number(values, "gamma", float),
+        steps=_number(values, "steps", int, str(ScenarioConfig.steps)),
+        **{key: values[key] for key in ("solver", "builder") if key in values},
+        solver_config=SolverConfig(**solver_kwargs),
+        params=EpidemicParams(kind, lam, mu),
+        force=force.lower() == "true",
+    )
+    echo = {}
+    for key, value in values.items():
+        if key in ("lambda", "r0"):
+            echo["lambda"] = repr(lam)
+        else:
+            echo[key] = str(paths[key]) if key in paths else value
+    return cfg, state0, echo
 
 
 # -- run reports ---------------------------------------------------------------

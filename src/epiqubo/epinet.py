@@ -204,27 +204,34 @@ def as_bits(v, m: int) -> np.ndarray:
     return arr.astype(np.int8)
 
 
+def _finding(what: str, mask: np.ndarray) -> list[str]:
+    """``["<what> at <first>"]`` for the first set entry of ``mask`` in C
+    order, ending `` and N more`` when N further entries are set; ``[]``
+    when none is."""
+    hits = int(np.count_nonzero(mask))
+    if not hits:
+        return []
+    at = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    where = f"{at[0]}" if mask.ndim == 1 else f"({at[0]}, {at[1]})"
+    return [f"{what} at {where}" + (f" and {hits - 1} more" if hits > 1 else "")]
+
+
 def validate_network(net: LocationNetwork) -> ValidationReport:
     """Check network invariants, reporting rather than raising.
 
-    Nonzero diagonal, negative weights, and nonpositive populations are
-    violations; weights above 1 are flagged as warnings only.
+    Nonzero diagonal, nonpositive populations and negative weights are
+    violations; off-diagonal weights above 1 are flagged as warnings only.
+    Each kind is named once, at its first offending entry, with the count of
+    the others.
     """
-    violations: list[str] = []
-    warnings: list[str] = []
-    for i in range(net.m):
-        if net.weights[i, i] != 0.0:
-            violations.append(f"nonzero diagonal at {i}")
-        if net.populations[i] <= 0.0:
-            violations.append(f"nonpositive population at {i}")
-    neg = np.argwhere(net.weights < 0.0)
-    for i, j in neg:
-        violations.append(f"negative weight at ({i}, {j})")
-    big = np.argwhere(net.weights > 1.0)
-    for i, j in big:
-        if i != j:
-            warnings.append(f"weight > 1 at ({i}, {j})")
-    return ValidationReport(violations, warnings)
+    big = net.weights > 1.0
+    np.fill_diagonal(big, False)
+    violations = [
+        *_finding("nonzero diagonal", np.diagonal(net.weights) != 0.0),
+        *_finding("nonpositive population", net.populations <= 0.0),
+        *_finding("negative weight", net.weights < 0.0),
+    ]
+    return ValidationReport(violations, _finding("weight > 1", big))
 
 
 def invariance_bound(net: LocationNetwork) -> float:
@@ -493,7 +500,10 @@ def infection_rate_from_r0(r0: float, mu: float, net: LocationNetwork) -> float:
     """Calibrate the infection rate from a reproduction number.
 
     ``lam = r0 * mu / rho(A + I)`` with the spectral radius from power
-    iteration.  ``r0 = 0`` is allowed and yields 0.
+    iteration.  ``r0 = 0`` is allowed and yields 0.  A network on which power
+    iteration does not converge is refused with a ValueError that asks for
+    the rate itself: a defective dominant eigenvalue of I + A, as two equal
+    communities chained one way give, is approached only as 1/k.
     """
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
@@ -501,7 +511,13 @@ def infection_rate_from_r0(r0: float, mu: float, net: LocationNetwork) -> float:
         raise ValueError(f"r0 must be finite, got {r0}")
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
-    rho = _rho_of_unit_shifted(net.weights)
+    try:
+        rho = _rho_of_unit_shifted(net.weights)
+    except PowerIterationError as exc:
+        raise ValueError(
+            f"r0 {r0} cannot be calibrated on this network ({exc}); "
+            "give the infection rate lambda instead"
+        ) from exc
     return r0 * mu / rho
 
 

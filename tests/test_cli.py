@@ -1370,3 +1370,34 @@ class TestNonFiniteCsvValues:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
+
+
+class TestUncalibratableR0:
+    """Two equal 3-location rings chained one way give I + A a defective
+    dominant eigenvalue, on which power iteration converges only as 1/k: an
+    r0 there cannot be calibrated, and the run exits 1 asking for the rate."""
+
+    @pytest.fixture
+    def chained_rings(self, tmp_path):
+        rows = [f"{a},{b},0.25" for base in (0, 3) for k in range(3)
+                for a, b in ((base + k, base + (k + 1) % 3), (base + (k + 1) % 3, base + k))]
+        (tmp_path / "edges.csv").write_text(
+            "from,to,weight\n" + "\n".join(rows) + "\n3,0,0.1\n", encoding="utf-8"
+        )
+        (tmp_path / "population.csv").write_text(
+            "location,name,population\n" + "".join(f"{i},l{i},1000\n" for i in range(6)),
+            encoding="utf-8",
+        )
+        return {"edges": str(tmp_path / "edges.csv"), "population": str(tmp_path / "population.csv")}
+
+    def test_r0_exits_one_naming_r0_and_the_rate(self, chained_rings, tmp_path, capsys):
+        out = tmp_path / "run"
+        flags = ["control", *network_flags(chained_rings, with_cases=False), "--model", "sir",
+                 "--mu", "0.1", "--gamma", "1e-3", "--steps", "2", "--out", str(out)]
+        assert cli_dispatch([*flags, "--r0", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: r0 2.0 cannot be calibrated on this network (power iteration did not "
+            "reach 1e-12 in 10000 iterations); give the infection rate lambda instead\n"
+        )
+        assert not out.exists()
+        assert cli_dispatch([*flags, "--lambda", "0.1"]) == 0

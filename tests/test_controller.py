@@ -140,6 +140,13 @@ class TestConfigValidation:
             ScenarioConfig(network=net, params=SIS, gamma=0.0)
         assert caplog.messages == ["network: weight > 1 at (0, 1)"]
 
+    def test_each_network_finding_logged_once(self, caplog):
+        # six offending weights, one warning that counts the other five
+        net = LocationNetwork([100.0] * 3, 2.0 - 2.0 * np.eye(3))
+        with caplog.at_level(logging.WARNING):
+            ScenarioConfig(network=net, params=SIS, gamma=0.0)
+        assert caplog.messages == ["network: weight > 1 at (0, 1) and 5 more"]
+
     def test_forced_rate_logged_once_per_scenario(self, caplog):
         net = LocationNetwork([100.0, 100.0], [[0.0, 0.9], [0.9, 0.0]])
         state = EpidemicState([90.0, 90.0])

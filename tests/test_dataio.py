@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import tempfile
 import tracemalloc
@@ -20,18 +21,21 @@ from epiqubo import (
     LocationNetwork,
     ModelKind,
     ScenarioConfig,
+    SolverConfig,
     compute_metrics,
     dataio,
     run_rolling_horizon,
     run_uncontrolled_baseline,
 )
 from epiqubo.dataio import (
+    SCENARIO_KEYS,
     NetworkFiles,
     generate_synthetic,
     initial_state,
     load_network,
     parse_scenario_text,
     read_trajectory_totals,
+    resolve_scenario,
     scenario_to_text,
     trajectory_csv_text,
     write_cases_csv,
@@ -924,6 +928,80 @@ class TestScenarioDocuments:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate key"):
             parse_scenario_text(self.GOOD + "mu = 0.5\n")
+
+
+def _another_solver_value(field) -> str:
+    """A valid value other than the default for a ``SolverConfig`` knob."""
+    if field.default is None:
+        return "2" if field.type == "int | None" else "0.5"
+    return str(field.default + 1 if field.type == "int" else field.default / 2)
+
+
+class TestEveryScenarioKeyReachesTheRun:
+    """Setting one key to another valid value changes what that key names in
+    the resolved config or start state.  File-based and synthetic
+    scenarios exclude each other, so each key is varied on the base that can
+    carry it; a key missing from ``VARIED`` fails, so a key the parser
+    accepts cannot go unread."""
+
+    FILE_BASE = {
+        "model": "sir", "lambda": "0.02", "mu": "0.01", "gamma": "1e-6",
+        "edges": "edges.csv", "population": "population.csv", "cases": "cases.csv",
+    }
+    SYNTHETIC_BASE = {
+        "model": "sir", "r0": "1.5", "mu": "0.01", "gamma": "1e-6", "profile": "ring", "m": "4",
+    }
+    # key: (varied on the synthetic base, another value, what the key names in
+    # the resolved config and start state)
+    VARIED = {
+        "model": (False, "sis", lambda cfg, state0: cfg.params.kind),
+        "lambda": (False, "0.03", lambda cfg, state0: cfg.params.lam),
+        "r0": (True, "2.5", lambda cfg, state0: cfg.params.lam),
+        "mu": (False, "0.2", lambda cfg, state0: cfg.params.mu),
+        "gamma": (False, "1e-3", lambda cfg, state0: cfg.gamma),
+        "steps": (False, "7", lambda cfg, state0: cfg.steps),
+        "solver": (False, "tabu", lambda cfg, state0: cfg.solver),
+        "builder": (False, "numeric", lambda cfg, state0: cfg.builder),
+        "seed": (False, "5", lambda cfg, state0: cfg.solver_config.seed),
+        "force": (False, "true", lambda cfg, state0: cfg.force),
+        "edges": (False, "edges2.csv", lambda cfg, state0: cfg.network.weights.tolist()),
+        "population": (
+            False, "population2.csv", lambda cfg, state0: cfg.network.populations.tolist()
+        ),
+        "cases": (False, "cases2.csv", lambda cfg, state0: state0.infected.tolist()),
+        "profile": (True, "complete", lambda cfg, state0: cfg.network.weights.tolist()),
+        "m": (True, "5", lambda cfg, state0: cfg.network.m),
+        "network_seed": (True, "3", lambda cfg, state0: cfg.network.populations.tolist()),
+        **{
+            field.name: (
+                False,
+                _another_solver_value(field),
+                lambda cfg, state0, name=field.name: getattr(cfg.solver_config, name),
+            )
+            for field in dataclasses.fields(SolverConfig)
+            if field.name != "seed"
+        },
+    }
+
+    @pytest.fixture
+    def base_dir(self, tmp_path):
+        population = "location,name,population\n0,a,100\n1,b,200\n2,c,300\n"
+        write(tmp_path / "population.csv", population)
+        write(tmp_path / "population2.csv", population.replace("300", "400"))
+        write(tmp_path / "edges.csv", "from,to,weight\n0,1,0.1\n1,2,0.1\n")
+        write(tmp_path / "edges2.csv", "from,to,weight\n0,1,0.1\n2,1,0.1\n")
+        write(tmp_path / "cases.csv", "location,infected\n0,5\n")
+        write(tmp_path / "cases2.csv", "location,infected\nb,5\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("key", SCENARIO_KEYS)
+    def test_changes_what_the_key_names(self, base_dir, key):
+        synthetic, value, what = self.VARIED[key]
+        base = self.SYNTHETIC_BASE if synthetic else self.FILE_BASE
+        varied = {**base, key: value}
+        assert parse_scenario_text(scenario_to_text(varied)) == varied
+        changed = what(*resolve_scenario(varied, base_dir)[:2])
+        assert changed != what(*resolve_scenario(base, base_dir)[:2])
 
 
 class TestTrajectoryCsv:

@@ -59,6 +59,16 @@ class TestValidation:
         report = validate_network(LocationNetwork([10.0, 10.0], [[0.0, -0.1], [0.1, 0.0]]))
         assert any("negative weight at (0, 1)" in v for v in report.violations)
 
+    def test_each_kind_named_once_at_its_first_entry(self):
+        weights = np.array([[0.5, -0.1, 2.0], [-0.2, 0.0, 3.0], [0.0, 1.5, 0.7]])
+        report = validate_network(LocationNetwork([10.0, 0.0, -1.0], weights))
+        assert report.violations == [
+            "nonzero diagonal at 0 and 1 more",
+            "nonpositive population at 1 and 1 more",
+            "negative weight at (0, 1) and 1 more",
+        ]
+        assert report.warnings == ["weight > 1 at (0, 2) and 2 more"]
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             LocationNetwork([10.0, 10.0], [[0.0]])
